@@ -19,8 +19,8 @@ import (
 // WAL-resident tail is flushed first so the checkpoint needs no log.
 //
 // The checkpoint is taken online: concurrent writes and compactions
-// proceed; table-cache reference counting keeps the pinned files alive
-// until they are copied even if a compaction deletes them meanwhile.
+// proceed; the pinned read state keeps its files alive until they are
+// copied even if a compaction makes them obsolete meanwhile.
 func (db *DB) Checkpoint(dir string) (err error) {
 	if dir == db.dir {
 		return errors.New("lsm: checkpoint directory must differ from the store directory")
@@ -37,13 +37,13 @@ func (db *DB) Checkpoint(dir string) (err error) {
 		return err
 	}
 
-	// Pin the version and take references on every file before copying.
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return ErrClosed
+	// Pin the version: its files cannot be deleted until the copy is done.
+	rs, err := db.pin()
+	if err != nil {
+		return err
 	}
-	v := db.version
+	defer rs.unpin()
+	v := rs.version
 	seq := db.lastSeq.Load()
 	var nums []uint64
 	for _, l := range v.Levels {
@@ -52,21 +52,6 @@ func (db *DB) Checkpoint(dir string) (err error) {
 				nums = append(nums, f.Num)
 			}
 		}
-	}
-	db.mu.Unlock()
-
-	var releases []func()
-	defer func() {
-		for _, rel := range releases {
-			rel()
-		}
-	}()
-	for _, num := range nums {
-		_, release, err := db.tcache.acquire(num)
-		if err != nil {
-			return fmt.Errorf("lsm: checkpoint pin %d: %w", num, err)
-		}
-		releases = append(releases, release)
 	}
 
 	if err := db.fs.MkdirAll(dir); err != nil {

@@ -364,36 +364,47 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 }
 
 // doCompaction is the body of runCompaction: merge inputs, write
-// outputs (throttled), install the new version, and delete obsolete
-// files (tutorial §2.1.2 Compaction). It returns the installed file
+// outputs (throttled) and install the new version (tutorial §2.1.2
+// Compaction). The inputs are read through a pinned state; unpinning it
+// after the install is what lets them die — here, or when the last
+// reader that also pinned them finishes. It returns the installed file
 // metadata for event reporting.
 func (db *DB) doCompaction(job *compaction.Job) ([]*manifest.FileMeta, error) {
+	rs, err := db.pin()
+	if err != nil {
+		return nil, err
+	}
+	metas, hotRanges, err := db.compactPinned(rs, job)
+	rs.unpin()
+	// Re-warm: prefetch the output blocks covering the previously hot
+	// key ranges, restoring the cache before readers miss.
+	if len(hotRanges) > 0 {
+		db.prefetchOutputs(metas, hotRanges)
+	}
+	return metas, err
+}
+
+// compactPinned runs the job against the inputs rs keeps alive. Beside
+// the installed files it returns the inputs' hot key ranges when
+// prefetching is on.
+func (db *DB) compactPinned(rs *readState, job *compaction.Job) ([]*manifest.FileMeta, []kv.KeyRange, error) {
 	var (
 		iters     []kv.Iterator
-		releases  []func()
 		rangeDels []kv.RangeTombstone
 		overall   kv.KeyRange
-		inEntries int64
 		inBytes   uint64
 	)
-	defer func() {
-		for _, rel := range releases {
-			rel()
-		}
-	}()
 	for lvl, files := range job.Inputs {
 		var lvlBytes int64
 		for _, f := range files {
-			r, release, err := db.tcache.acquire(f.Num)
+			r, err := rs.reader(f.Num)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			releases = append(releases, release)
 			iters = append(iters, r.NewIterator())
 			rangeDels = append(rangeDels, r.RangeTombstones()...)
 			overall.Extend(f.Smallest)
 			overall.Extend(f.Largest)
-			inEntries += int64(f.NumEntries)
 			inBytes += f.Size
 			lvlBytes += int64(f.Size)
 		}
@@ -435,7 +446,7 @@ func (db *DB) doCompaction(job *compaction.Job) ([]*manifest.FileMeta, error) {
 	for ok := ci.first(); ok; ok = ci.next() {
 		if err := out.add(ci.key, ci.value); err != nil {
 			out.abort()
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	// A corrupt input block makes its source look exhausted rather than
@@ -444,12 +455,12 @@ func (db *DB) doCompaction(job *compaction.Job) ([]*manifest.FileMeta, error) {
 	// the background-failure path degrades the store on corruption.
 	if err := merge.Error(); err != nil {
 		out.abort()
-		return nil, err
+		return nil, nil, err
 	}
 	metas, err := out.finish()
 	if err != nil {
 		out.abort()
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Install the result.
@@ -462,9 +473,16 @@ func (db *DB) doCompaction(job *compaction.Job) ([]*manifest.FileMeta, error) {
 	db.mu.Lock()
 	db.version = db.version.ApplyCompaction(removed, job.ToLevel, metas, job.TargetTiered)
 	err = db.commitLocked()
+	prev := db.publishLocked()
 	db.mu.Unlock()
 	if err != nil {
-		return metas, err
+		for _, nums := range removed {
+			prev.retain(nums...)
+		}
+	}
+	prev.unpin()
+	if err != nil {
+		return metas, nil, err
 	}
 
 	db.m.Compactions.Add(1)
@@ -477,40 +495,24 @@ func (db *DB) doCompaction(job *compaction.Job) ([]*manifest.FileMeta, error) {
 		db.prof.recordWrite(job.ToLevel, string(job.Reason), int64(totalBytes(metas)))
 	}
 
-	// Leaper-style hotness capture: before evicting the inputs, record
-	// the user-key spans of their blocks that were actually resident in
-	// the cache — the "hot pages" Leaper's model predicts (§2.1.3,
-	// [128]).
+	// Leaper-style hotness capture: while the inputs are still pinned,
+	// record the user-key spans of their blocks that were actually
+	// resident in the cache — the "hot pages" Leaper's model predicts
+	// (§2.1.3, [128]).
 	var hotRanges []kv.KeyRange
 	if db.opts.PrefetchAfterCompaction && db.bcache != nil {
-		hotRanges = db.collectHotRanges(job)
+		hotRanges = db.collectHotRanges(rs, job)
 	}
-
-	// Drop obsolete inputs from caches and disk.
-	for _, nums := range removed {
-		for _, num := range nums {
-			if db.bcache != nil {
-				db.bcache.EvictFile(num)
-			}
-			db.tcache.evict(num)
-		}
-	}
-
-	// Re-warm: prefetch the output blocks covering the previously hot
-	// key ranges, restoring the cache before readers miss.
-	if len(hotRanges) > 0 {
-		db.prefetchOutputs(metas, hotRanges)
-	}
-	return metas, nil
+	return metas, hotRanges, nil
 }
 
 // collectHotRanges returns the user-key spans of the job's input blocks
 // that are currently cached.
-func (db *DB) collectHotRanges(job *compaction.Job) []kv.KeyRange {
+func (db *DB) collectHotRanges(rs *readState, job *compaction.Job) []kv.KeyRange {
 	var hot []kv.KeyRange
 	for _, files := range job.Inputs {
 		for _, f := range files {
-			r, release, err := db.tcache.acquire(f.Num)
+			r, err := rs.reader(f.Num) // already open: the merge just read it
 			if err != nil {
 				continue
 			}
@@ -525,7 +527,6 @@ func (db *DB) collectHotRanges(job *compaction.Job) []kv.KeyRange {
 				}
 				prev = last
 			})
-			release()
 		}
 	}
 	return hot
@@ -541,6 +542,11 @@ func (db *DB) prefetchOutputs(metas []*manifest.FileMeta, hotRanges []kv.KeyRang
 	if budget <= 0 {
 		return
 	}
+	rs, err := db.pin()
+	if err != nil {
+		return
+	}
+	defer rs.unpin()
 	for _, m := range metas {
 		if budget <= 0 {
 			break
@@ -556,9 +562,9 @@ func (db *DB) prefetchOutputs(metas []*manifest.FileMeta, hotRanges []kv.KeyRang
 		if !touches {
 			continue
 		}
-		r, release, err := db.tcache.acquire(m.Num)
+		r, err := rs.reader(m.Num)
 		if err != nil {
-			continue
+			continue // already compacted away again
 		}
 		for _, hr := range hotRanges {
 			if budget <= 0 {
@@ -569,6 +575,5 @@ func (db *DB) prefetchOutputs(metas []*manifest.FileMeta, hotRanges []kv.KeyRang
 			}
 			budget -= r.WarmRange(hr.Smallest, hr.Largest, budget)
 		}
-		release()
 	}
 }

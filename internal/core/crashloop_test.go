@@ -7,16 +7,20 @@ import (
 	"testing"
 
 	"lsmlab/internal/vfs"
+	"lsmlab/internal/vfs/faultfs"
 )
 
 // TestCrashRecoveryLoop drives random operations through repeated
-// "crashes" (reopen without Close): after every recovery, the store
-// must agree exactly with a model map. This is the whole-engine
-// durability property: WAL replay + manifest recovery + orphan sweep
-// compose to lose nothing and resurrect nothing.
+// crashes: the handle is abandoned without Close, its workers are
+// stopped (a dead process deletes no files), and the faulty device
+// drops every unsynced suffix before the next Open. After every
+// recovery the store must agree exactly with a model map. This is the
+// whole-engine durability property: WAL replay + manifest recovery +
+// orphan sweep compose to lose nothing and resurrect nothing.
 func TestCrashRecoveryLoop(t *testing.T) {
-	fs := vfs.NewMem()
-	opts := DefaultOptions(fs, "db")
+	ffs := faultfs.New(vfs.NewMem(), 2026)
+	opts := DefaultOptions(ffs, "db")
+	opts.SyncWAL = true // every acknowledged write must survive the crash
 	opts.BufferBytes = 4 << 10
 	opts.TargetFileSize = 8 << 10
 	opts.BaseLevelBytes = 16 << 10
@@ -67,7 +71,7 @@ func TestCrashRecoveryLoop(t *testing.T) {
 			}
 		}
 		// Crash: abandon the handle without closing. Background work may
-		// be mid-flight; recovery must cope with whatever hit disk.
+		// be cut off mid-flight; recovery must cope with whatever hit disk.
 		switch round % 3 {
 		case 0:
 			// crash immediately
@@ -76,18 +80,14 @@ func TestCrashRecoveryLoop(t *testing.T) {
 		case 2:
 			db.WaitIdle() // crash at a quiescent point
 		}
-		old := db
+		crashDB(db)
+		if err := ffs.Crash(); err != nil {
+			t.Fatalf("round %d crash simulation: %v", round, err)
+		}
 		db, err = Open(opts)
 		if err != nil {
 			t.Fatalf("round %d reopen: %v", round, err)
 		}
-		// The old handle becomes unusable but must not corrupt anything;
-		// shut its workers down.
-		old.mu.Lock()
-		old.closed = true
-		old.cond.Broadcast()
-		old.mu.Unlock()
-		old.bg.Wait()
 
 		// Verify every key in the model, plus absence of deleted ones.
 		for k, want := range model {

@@ -69,11 +69,15 @@ type DB struct {
 	fs   vfs.FS
 	dir  string
 
-	mu        sync.Mutex
-	cond      *sync.Cond // broadcast when stalls may clear or work completes
+	mu   sync.Mutex
+	cond *sync.Cond // broadcast when stalls may clear or work completes
+	// mem, imm, version and closed are the writer-side truth, guarded by
+	// mu. Readers never look at them: each change is frozen into state
+	// (readstate.go) by publishLocked, and readers pin that.
 	mem       *memWrapper
 	imm       []*memWrapper // oldest first
 	version   *manifest.Version
+	state     atomic.Pointer[readState]
 	nextFile  uint64
 	store     *manifest.Store
 	walFile   vfs.File
@@ -116,8 +120,7 @@ type DB struct {
 	visibleSeq atomic.Uint64
 
 	bg     sync.WaitGroup
-	picker *compaction.Picker
-	tcache *tableCache
+	picker atomic.Pointer[compaction.Picker] // replaced whole by SetShape, under mu
 	bcache *cache.Cache
 	vlog   *wisckey.Log
 
@@ -244,14 +247,7 @@ func Open(opts Options) (*DB, error) {
 		db.bcache = cache.New(opts.CacheBytes)
 		db.bcache.SetStats(statsSink{&db.m})
 	}
-	db.tcache = newTableCache(db.fs, db.dir, func(fileNum uint64) sstable.ReaderOptions {
-		var bc sstable.BlockCache
-		if db.bcache != nil {
-			bc = db.bcache
-		}
-		return sstable.ReaderOptions{FileNum: fileNum, Cache: bc, Stats: statsSink{&db.m}}
-	})
-	db.picker = compaction.NewPicker(compaction.Options{
+	db.picker.Store(compaction.NewPicker(compaction.Options{
 		NumLevels:               opts.NumLevels,
 		SizeRatio:               opts.SizeRatio,
 		BaseLevelBytes:          opts.BaseLevelBytes,
@@ -260,7 +256,7 @@ func Open(opts Options) (*DB, error) {
 		MovePolicy:              opts.MovePolicy,
 		TombstoneAgeThresholdNs: int64(opts.TombstoneAgeThreshold),
 		NowNs:                   opts.NowNs,
-	})
+	}))
 
 	// Recover the manifest.
 	store, state, err := manifest.OpenStore(db.fs, vfs.Join(db.dir, "MANIFEST"))
@@ -304,7 +300,11 @@ func Open(opts Options) (*DB, error) {
 	// fixed.
 	db.lastSeq.CompareAndSwap(0, 1)
 	db.visibleSeq.Store(db.lastSeq.Load())
-	if err := db.newMemtable(); err != nil {
+	db.mu.Lock()
+	err = db.newMemtableLocked()
+	db.publishLocked().unpin()
+	db.mu.Unlock()
+	if err != nil {
 		return nil, err
 	}
 
@@ -336,7 +336,7 @@ func (db *DB) removeOrphans() {
 		if err != nil || live[num] {
 			continue
 		}
-		db.fs.Remove(vfs.Join(db.dir, name))
+		db.removeTable(num)
 	}
 }
 
@@ -394,14 +394,7 @@ func (db *DB) recoverWALs() error {
 	return nil
 }
 
-// newMemtable installs a fresh mutable buffer and its WAL segment.
-// Callers must not hold db.mu.
-func (db *DB) newMemtable() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.newMemtableLocked()
-}
-
+// newMemtableLocked installs a fresh mutable buffer and its WAL segment.
 func (db *DB) newMemtableLocked() error {
 	mw := &memWrapper{mt: memtable.New(db.opts.MemtableKind)}
 	if !db.opts.DisableWAL {
@@ -478,7 +471,7 @@ func (db *DB) filterBitsForRun(v *manifest.Version, level int) float64 {
 			}
 		}
 	}
-	popts := db.picker.Options()
+	popts := db.picker.Load().Options()
 	var counts []int64
 	runIdxForLevel := make([]int, db.opts.NumLevels)
 	for lvl := 0; lvl < db.opts.NumLevels; lvl++ {
@@ -605,7 +598,7 @@ func retryBackoff(failures int) time.Duration {
 // not touch a busy level, so concurrent workers take disjoint work.
 // Callers hold db.mu.
 func (db *DB) pickUnlockedJob() *compaction.Job {
-	return db.picker.PickExcluding(db.version, func(level int) bool {
+	return db.picker.Load().PickExcluding(db.version, func(level int) bool {
 		return db.busyLevel[level]
 	})
 }
@@ -642,9 +635,7 @@ func (db *DB) Latencies() metrics.LatencySnapshot { return db.m.Latencies() }
 // DiskUsageBytes reports the live table bytes (the numerator of space
 // amplification).
 func (db *DB) DiskUsageBytes() uint64 {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	total := db.version.TotalSize()
+	total := db.Version().TotalSize()
 	if db.vlog != nil {
 		total += uint64(db.vlog.DiskBytes())
 	}
@@ -652,11 +643,7 @@ func (db *DB) DiskUsageBytes() uint64 {
 }
 
 // Version returns the current tree structure (immutable; safe to read).
-func (db *DB) Version() *manifest.Version {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.version
-}
+func (db *DB) Version() *manifest.Version { return db.state.Load().version }
 
 // Flush forces the mutable memtable to disk and waits for it.
 func (db *DB) Flush() error {
@@ -693,7 +680,7 @@ func (db *DB) Compact() error {
 		return err
 	}
 	db.mu.Lock()
-	job := db.picker.ManualJob(db.version)
+	job := db.picker.Load().ManualJob(db.version)
 	if job == nil {
 		db.mu.Unlock()
 		return nil
@@ -761,6 +748,9 @@ func (db *DB) Close() error {
 	if db.vlog != nil {
 		keep(db.vlog.Close())
 	}
-	db.tcache.close()
+	// Publish the closed marker last, with the workers gone and the
+	// version final: readers now get ErrClosed, and releasing the last
+	// open state closes every reader no iterator still pins.
+	db.publishLocked().unpin()
 	return firstErr
 }

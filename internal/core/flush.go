@@ -210,10 +210,10 @@ func (o *outputSet) finish() ([]*manifest.FileMeta, error) {
 func (o *outputSet) abort() {
 	if o.curFile != nil {
 		o.curFile.Close()
-		o.db.fs.Remove(vfs.Join(o.db.dir, manifest.FileName(o.curNum)))
+		o.db.removeTable(o.curNum)
 	}
 	for _, m := range o.metas {
-		o.db.fs.Remove(vfs.Join(o.db.dir, manifest.FileName(m.Num)))
+		o.db.removeTable(m.Num)
 	}
 }
 
@@ -311,21 +311,24 @@ func (db *DB) doFlush(mw *memWrapper) ([]*manifest.FileMeta, error) {
 	}
 	if len(metas) > 0 {
 		db.version = db.version.PushRun(0, &manifest.Run{Files: metas})
-		if err := db.commitLocked(); err != nil {
-			return metas, err
-		}
-		db.m.Flushes.Add(1)
-		db.m.FlushBytes.Add(int64(totalBytes(metas)))
-		if db.prof != nil {
-			db.prof.recordWrite(0, "flush", int64(totalBytes(metas)))
+		if err = db.commitLocked(); err == nil {
+			db.m.Flushes.Add(1)
+			db.m.FlushBytes.Add(int64(totalBytes(metas)))
+			if db.prof != nil {
+				db.prof.recordWrite(0, "flush", int64(totalBytes(metas)))
+			}
 		}
 	}
-	if len(db.imm) > 0 && db.imm[0] == mw {
+	if err == nil && len(db.imm) > 0 && db.imm[0] == mw {
 		db.imm = db.imm[1:]
 		if mw.walNum != 0 {
 			db.fs.Remove(vfs.Join(db.dir, manifest.WALName(mw.walNum)))
 		}
 	}
+	// One publish covers the run's arrival and the buffer's departure: a
+	// reader finds the data in one or the other, never in neither. A flush
+	// only adds files, so releasing the predecessor deletes nothing.
+	db.publishLocked().unpin()
 	db.cond.Broadcast()
-	return metas, nil
+	return metas, err
 }

@@ -21,12 +21,12 @@ type IterOptions struct {
 // order, merging every run, hiding tombstoned and range-deleted data,
 // and resolving WiscKey value pointers (tutorial §2.1.2 Scan).
 type Iterator struct {
-	db       *DB
-	merge    *kv.MergingIterator
-	releases []func()
-	rangeTs  []kv.RangeTombstone
-	opts     IterOptions
-	seq      kv.SeqNum
+	db      *DB
+	rs      *readState // pinned until Close: keeps every source alive
+	merge   *kv.MergingIterator
+	rangeTs []kv.RangeTombstone
+	opts    IterOptions
+	seq     kv.SeqNum
 
 	key        []byte
 	value      []byte
@@ -43,51 +43,27 @@ type Iterator struct {
 
 // NewIterator returns an iterator over the current contents.
 func (db *DB) NewIterator(opts IterOptions) (*Iterator, error) {
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return nil, ErrClosed
+	rs, err := db.pin()
+	if err != nil {
+		return nil, err
 	}
-	db.mu.Unlock()
 	db.m.Scans.Add(1)
-
-	// Like getEntry, iterator construction races against compactions
-	// deleting files referenced by the just-acquired view; each retry
-	// takes a fresh view, so only a reader starved on every attempt can
-	// still observe the missing file.
-	var lastErr error
-	for attempt := 0; attempt < 20; attempt++ {
-		it, err := db.newIterator(opts)
-		if err != nil {
-			if isMissingFile(err) {
-				lastErr = err
-				continue
-			}
-			return nil, err
-		}
-		return it, nil
-	}
-	return nil, lastErr
-}
-
-func (db *DB) newIterator(opts IterOptions) (*Iterator, error) {
-	view := db.acquireView(opts.snapshot)
-	it := &Iterator{db: db, opts: opts, seq: view.seq}
+	it := &Iterator{db: db, rs: rs, opts: opts, seq: db.readSeq(opts.snapshot)}
 
 	var sources []kv.Iterator
-	for _, mw := range view.mems {
+	for _, mw := range rs.mems {
 		sources = append(sources, mw.mt.NewIterator())
 		it.rangeTs = append(it.rangeTs, mw.rangeTombstones()...)
 	}
 	if db.prof != nil {
-		it.sinks = make([]profSink, len(view.version.Levels))
+		it.sinks = make([]profSink, len(rs.version.Levels))
 		for i := range it.sinks {
 			// Weight 1: scans attribute every block exactly (the setup
 			// cost amortizes over the entries scanned).
 			it.sinks[i] = profSink{base: db.stSink, lv: db.prof.levels, level: i, w: 1}
 		}
 	}
-	for lvl, level := range view.version.Levels {
+	for lvl, level := range rs.version.Levels {
 		for _, run := range level.Runs {
 			for _, f := range run.Files {
 				// Skip files wholly outside the bounds.
@@ -97,12 +73,11 @@ func (db *DB) newIterator(opts IterOptions) (*Iterator, error) {
 				if opts.LowerBound != nil && bytes.Compare(f.Largest, opts.LowerBound) < 0 {
 					continue
 				}
-				r, release, err := db.tcache.acquire(f.Num)
+				r, err := rs.reader(f.Num)
 				if err != nil {
 					it.Close()
 					return nil, err
 				}
-				it.releases = append(it.releases, release)
 				if it.sinks != nil {
 					sources = append(sources, r.NewIteratorWith(&it.sinks[lvl]))
 				} else {
@@ -318,15 +293,13 @@ func (it *Iterator) Value() []byte { return it.value }
 // Err returns the first error the iterator encountered.
 func (it *Iterator) Err() error { return it.err }
 
-// Close releases table references held by the iterator.
+// Close releases the sources the iterator pinned.
 func (it *Iterator) Close() error {
 	if it.merge != nil {
 		it.merge.Close()
 	}
-	for _, rel := range it.releases {
-		rel()
-	}
-	it.releases = nil
+	it.rs.unpin()
+	it.rs = nil
 	it.valid = false
 	return it.err
 }

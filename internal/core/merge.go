@@ -48,32 +48,25 @@ func (b *Batch) Merge(key, operand []byte) {
 // starting from the already-found newest operand. It walks every
 // version of the key across all sources, collecting operands until a
 // base value (Set), a tombstone, or the end of the key's history.
-func (db *DB) resolveMergeSlow(view readView, key []byte, snap kv.SeqNum) ([]byte, error) {
+func (db *DB) resolveMergeSlow(rs *readState, key []byte, snap kv.SeqNum) ([]byte, error) {
 	// Build a merged internal iterator over all sources, like
 	// NewIterator but without user-facing settling.
 	var sources []kv.Iterator
-	var releases []func()
-	defer func() {
-		for _, rel := range releases {
-			rel()
-		}
-	}()
 	var rangeDels []kv.RangeTombstone
-	for _, mw := range view.mems {
+	for _, mw := range rs.mems {
 		sources = append(sources, mw.mt.NewIterator())
 		rangeDels = append(rangeDels, mw.rangeTombstones()...)
 	}
-	for _, level := range view.version.Levels {
+	for _, level := range rs.version.Levels {
 		for _, run := range level.Runs {
 			f := run.FindFile(key)
 			if f == nil {
 				continue
 			}
-			r, release, err := db.tcache.acquire(f.Num)
+			r, err := rs.reader(f.Num)
 			if err != nil {
 				return nil, err
 			}
-			releases = append(releases, release)
 			sources = append(sources, r.NewIterator())
 			rangeDels = append(rangeDels, r.RangeTombstones()...)
 		}

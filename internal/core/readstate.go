@@ -1,0 +1,177 @@
+package core
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+
+	"lsmlab/internal/manifest"
+	"lsmlab/internal/sstable"
+	"lsmlab/internal/vfs"
+)
+
+// readState is everything a reader needs, frozen at one instant: the
+// mutable buffer, the immutable queue, the tree version, and a handle on
+// every table file that version names. It is immutable once published
+// and reference-counted: the engine holds one reference on the state it
+// has published, and every Get, iterator, checkpoint, scrub and
+// compaction holds one on the state it pinned. A table file stays on
+// disk, and its reader open, for as long as any state names it — which
+// is the whole answer to "who keeps a table alive while it is read"
+// (tutorial §2.1.1 C/D: immutable files, collected once unread).
+type readState struct {
+	db      *DB
+	refs    atomic.Int32
+	closed  bool          // published by Close: pin refuses it
+	mems    []*memWrapper // newest first
+	version *manifest.Version
+	tables  map[uint64]*tableHandle // one per file of version
+}
+
+// tableHandle is one table file's lifetime, shared by every state whose
+// version names the file. The reader opens on first touch.
+type tableHandle struct {
+	num  uint64
+	refs atomic.Int32 // states naming the file
+	open sync.Mutex   // serializes the first open
+	r    atomic.Pointer[sstable.Reader]
+}
+
+// publishLocked freezes the engine's current sources (db.mem, db.imm,
+// db.version, db.closed) into a new read state, makes it the one new
+// readers pin, and returns its predecessor, whose reference the caller
+// releases — after dropping db.mu when the version lost files, since
+// the release is what deletes them. Every mutation of those fields ends
+// in a publishLocked. Callers hold db.mu.
+func (db *DB) publishLocked() *readState {
+	prev := db.state.Load()
+	next := &readState{db: db, closed: db.closed, version: db.version}
+	next.refs.Store(1)
+	if db.mem != nil { // nil only while Open is still replaying the log
+		next.mems = make([]*memWrapper, 0, len(db.imm)+1)
+		next.mems = append(next.mems, db.mem)
+		for i := len(db.imm) - 1; i >= 0; i-- {
+			next.mems = append(next.mems, db.imm[i])
+		}
+	}
+	if !db.closed {
+		var old map[uint64]*tableHandle
+		if prev != nil {
+			old = prev.tables
+		}
+		next.tables = make(map[uint64]*tableHandle, db.version.TotalFiles())
+		for _, l := range db.version.Levels {
+			for _, run := range l.Runs {
+				for _, f := range run.Files {
+					h := old[f.Num]
+					if h == nil {
+						h = &tableHandle{num: f.Num}
+					}
+					h.refs.Add(1)
+					next.tables[f.Num] = h
+				}
+			}
+		}
+	}
+	db.state.Store(next)
+	return prev
+}
+
+// pin returns the current read state with a reference taken, or
+// ErrClosed. The caller unpins it exactly once.
+func (db *DB) pin() (*readState, error) {
+	for {
+		rs := db.state.Load()
+		if rs.closed {
+			return nil, ErrClosed
+		}
+		// A state whose count reached zero is dead for good (its tables
+		// may already be gone); losing that race means a newer state has
+		// been published, so load again.
+		for n := rs.refs.Load(); n > 0; n = rs.refs.Load() {
+			if rs.refs.CompareAndSwap(n, n+1) {
+				return rs, nil
+			}
+		}
+	}
+}
+
+// unpin drops one reference. The last one releases the state's hold on
+// its tables, and a table no state names any more is closed and — unless
+// the live version still lists it, as when Close releases the final
+// state — deleted. This is the only place a once-live table dies.
+func (rs *readState) unpin() {
+	if rs == nil || rs.refs.Add(-1) != 0 {
+		return
+	}
+	var live map[uint64]bool
+	for _, h := range rs.tables {
+		if h.refs.Add(-1) != 0 {
+			continue
+		}
+		if r := h.r.Load(); r != nil {
+			r.Close()
+		}
+		if live == nil {
+			live = rs.db.state.Load().version.LiveFileNums()
+		}
+		if !live[h.num] {
+			rs.db.removeTable(h.num)
+		}
+	}
+}
+
+// retain gives the named tables a reference that is never released. It
+// follows a failed manifest commit: the manifest may or may not hold the
+// version that dropped them, so this handle must never delete them, and
+// the next Open sweeps whichever file set lost.
+func (rs *readState) retain(nums ...uint64) {
+	for _, num := range nums {
+		if h := rs.tables[num]; h != nil {
+			h.refs.Add(1)
+		}
+	}
+}
+
+// reader returns the open reader of a table the pinned version names.
+func (rs *readState) reader(num uint64) (*sstable.Reader, error) {
+	h := rs.tables[num]
+	if h == nil {
+		return nil, fmt.Errorf("lsm: table %d is not in the pinned version", num)
+	}
+	if r := h.r.Load(); r != nil {
+		return r, nil
+	}
+	h.open.Lock()
+	defer h.open.Unlock()
+	if r := h.r.Load(); r != nil {
+		return r, nil
+	}
+	db := rs.db
+	f, err := db.fs.Open(vfs.Join(db.dir, manifest.FileName(num)))
+	if err != nil {
+		return nil, err
+	}
+	var bc sstable.BlockCache
+	if db.bcache != nil {
+		bc = db.bcache
+	}
+	r, err := sstable.Open(f, sstable.ReaderOptions{FileNum: num, Cache: bc, Stats: statsSink{&db.m}})
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	h.r.Store(r)
+	return r, nil
+}
+
+// removeTable deletes a table file and its cached blocks. Every table
+// deletion in the engine — obsolete inputs, aborted outputs, orphans
+// swept at Open — goes through here. A file already renamed aside by
+// the scrubber is simply not there any more.
+func (db *DB) removeTable(num uint64) {
+	if db.bcache != nil {
+		db.bcache.EvictFile(num)
+	}
+	db.fs.Remove(vfs.Join(db.dir, manifest.FileName(num)))
+}

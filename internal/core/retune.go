@@ -23,7 +23,7 @@ func (db *DB) SetShape(layout compaction.Layout, sizeRatio int) error {
 	if db.closed {
 		return ErrClosed
 	}
-	popts := db.picker.Options()
+	popts := db.picker.Load().Options()
 	if layout != nil {
 		popts.Layout = layout
 		db.opts.Layout = layout
@@ -35,15 +35,13 @@ func (db *DB) SetShape(layout compaction.Layout, sizeRatio int) error {
 		popts.SizeRatio = sizeRatio
 		db.opts.SizeRatio = sizeRatio
 	}
-	db.picker = compaction.NewPicker(popts)
+	db.picker.Store(compaction.NewPicker(popts))
 	db.maybeScheduleWork()
 	return nil
 }
 
 // Shape reports the current compaction layout name and size ratio.
 func (db *DB) Shape() (layout string, sizeRatio int) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	popts := db.picker.Options()
+	popts := db.picker.Load().Options()
 	return popts.Layout.Name(), popts.SizeRatio
 }

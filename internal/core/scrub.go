@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"lsmlab/internal/events"
@@ -66,26 +65,20 @@ func (r ScrubReport) String() string {
 func (db *DB) Scrub() (ScrubReport, error) {
 	start := db.opts.NowNs()
 	var rep ScrubReport
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return rep, ErrClosed
+	rs, err := db.pin()
+	if err != nil {
+		return rep, err
 	}
-	v := db.version
-	db.mu.Unlock()
+	defer rs.unpin()
 
-	// Live tables. The version is an immutable snapshot: a file
-	// compacted away mid-scrub shows up as ErrNotExist and is skipped —
-	// its data lives on, re-written into the compaction output.
-	for _, l := range v.Levels {
+	// Live tables. The pinned state keeps every one of them on disk for
+	// the length of the walk, compacted away meanwhile or not.
+	for _, l := range rs.version.Levels {
 		for _, run := range l.Runs {
 			for _, f := range run.Files {
 				name := manifest.FileName(f.Num)
-				r, release, err := db.tcache.acquire(f.Num)
+				r, err := rs.reader(f.Num)
 				if err != nil {
-					if errors.Is(err, vfs.ErrNotExist) {
-						continue // deleted by a racing compaction
-					}
 					// Unopenable: a damaged footer or pinned block (those
 					// are checksum-verified at Open).
 					rep.Tables++
@@ -96,7 +89,6 @@ func (db *DB) Scrub() (ScrubReport, error) {
 					continue
 				}
 				n, verr := r.VerifyChecksums()
-				release()
 				rep.Tables++
 				rep.TableBytes += n
 				db.m.ScrubbedTables.Add(1)
@@ -140,11 +132,11 @@ func (db *DB) Scrub() (ScrubReport, error) {
 }
 
 // quarantineTable drops fileNum from the live version (durably, via a
-// manifest commit), renames the file aside as <name>.corrupt, and
-// evicts every trace of it from the table and block caches. Reads that
-// raced past the version swap hit ErrNotExist on the doomed cache
-// entry and retry against the new version, where the key is simply
-// absent. Reports whether the quarantine fully succeeded.
+// manifest commit) and renames the file aside as <name>.corrupt. Readers
+// that pinned the table before the swap keep reading their open handle;
+// when the last of them unpins, the table's deletion finds no file of
+// that name and the evidence survives. Reports whether the quarantine
+// fully succeeded.
 func (db *DB) quarantineTable(fileNum uint64) bool {
 	name := manifest.FileName(fileNum)
 	db.mu.Lock()
@@ -156,20 +148,18 @@ func (db *DB) quarantineTable(fileNum uint64) bool {
 	// the file number wherever it lives.
 	db.version = db.version.ReplaceRuns(map[int][]uint64{0: {fileNum}}, 0, nil)
 	cerr := db.commitLocked()
+	prev := db.publishLocked()
 	db.mu.Unlock()
 	db.m.ScrubCorruptions.Add(1)
+	if cerr != nil {
+		prev.retain(fileNum)
+	}
 
-	// Rename before forgetting the cache entry: once the entry is
-	// doomed, removeOrphans-style sweeps cannot resurrect a reader, and
-	// the rename keeps the evidence out of the .sst namespace so a
-	// restart's orphan sweep will not delete it.
-	ok := cerr == nil
-	if err := db.fs.Rename(vfs.Join(db.dir, name), vfs.Join(db.dir, name+".corrupt")); err != nil {
-		ok = false
-	}
-	db.tcache.forget(fileNum)
-	if db.bcache != nil {
-		db.bcache.EvictFile(fileNum)
-	}
-	return ok
+	// Rename before releasing the predecessor state, which may be the
+	// table's last reference: the rename keeps the evidence out of the
+	// .sst namespace, so neither that release nor a restart's orphan
+	// sweep deletes it.
+	rerr := db.fs.Rename(vfs.Join(db.dir, name), vfs.Join(db.dir, name+".corrupt"))
+	prev.unpin()
+	return cerr == nil && rerr == nil
 }

@@ -40,21 +40,19 @@ type TreeStats struct {
 
 // TreeStats returns the current structure summary.
 func (db *DB) TreeStats() TreeStats {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	rs := db.state.Load()
 	ts := TreeStats{
-		MemtableLen:   db.mem.mt.Len(),
-		Immutables:    len(db.imm),
-		LiveSeq:       db.visibleSeq.Load(),
-		MemtableBytes: uint64(db.mem.mt.ApproximateBytes()),
+		MemtableLen: rs.mems[0].mt.Len(),
+		Immutables:  len(rs.mems) - 1,
+		LiveSeq:     db.visibleSeq.Load(),
 	}
-	for _, mw := range db.imm {
+	for _, mw := range rs.mems {
 		ts.MemtableBytes += uint64(mw.mt.ApproximateBytes())
 	}
-	for i, l := range db.version.Levels {
+	popts := db.picker.Load().Options()
+	for i, l := range rs.version.Levels {
 		ls := LevelStats{Level: i, Runs: len(l.Runs), Files: l.NumFiles(), Bytes: l.Size()}
 		if i >= 1 {
-			popts := db.picker.Options()
 			ls.Capacity = popts.LevelCapacityBytes(i)
 			if ls.Bytes > ls.Capacity {
 				ts.BacklogBytes += ls.Bytes - ls.Capacity
@@ -173,17 +171,19 @@ func (db *DB) CommitGroupSizes() metrics.HistogramSnapshot { return db.m.GroupSi
 // FilterMemoryBytes sums the pinned Bloom-filter bytes across every
 // live table — the memory side of the filter experiments.
 func (db *DB) FilterMemoryBytes() int64 {
-	v := db.Version()
+	rs, err := db.pin()
+	if err != nil {
+		return 0
+	}
+	defer rs.unpin()
 	var total int64
-	for _, l := range v.Levels {
+	for _, l := range rs.version.Levels {
 		for _, r := range l.Runs {
 			for _, f := range r.Files {
-				rd, release, err := db.tcache.acquire(f.Num)
-				if err != nil {
-					continue
+				// A table that cannot be opened has no filter in memory.
+				if rd, err := rs.reader(f.Num); err == nil {
+					total += int64(rd.FilterSizeBytes())
 				}
-				total += int64(rd.FilterSizeBytes())
-				release()
 			}
 		}
 	}
@@ -195,16 +195,15 @@ func (db *DB) FilterMemoryBytes() int64 {
 // level's size plus live memtable data, per Dong et al.'s definition).
 // It returns 1 when the tree is empty.
 func (db *DB) SpaceAmplification() float64 {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	total := float64(db.version.TotalSize())
+	v := db.Version()
+	total := float64(v.TotalSize())
 	if total == 0 {
 		return 1
 	}
 	// Unique data is approximated by the deepest non-empty level.
 	var deepest float64
-	for i := len(db.version.Levels) - 1; i >= 0; i-- {
-		if sz := db.version.Levels[i].Size(); sz > 0 {
+	for i := len(v.Levels) - 1; i >= 0; i-- {
+		if sz := v.Levels[i].Size(); sz > 0 {
 			deepest = float64(sz)
 			break
 		}

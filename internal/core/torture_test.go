@@ -44,9 +44,8 @@ func tortureIters(t *testing.T, def int) int {
 	return def
 }
 
-// crashDB abandons a DB handle the way TestCrashRecoveryLoop does: no
-// Close, no flush — just stop the workers so the next Open owns the
-// directory.
+// crashDB abandons a DB handle: no Close, no flush — just stop the
+// workers so the next Open owns the directory.
 func crashDB(db *DB) {
 	db.mu.Lock()
 	db.closed = true

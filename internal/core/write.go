@@ -414,6 +414,7 @@ func (db *DB) rotateMemtableLocked() error {
 		return err
 	}
 	db.imm = append(db.imm, old)
+	db.publishLocked().unpin() // same version: the release deletes nothing
 	db.maybeScheduleWork()
 	if oldWAL != nil {
 		return oldWAL.Close()
