@@ -349,12 +349,12 @@ func runWriters(cfg writersConfig, jsonPath string) error {
 	return res.writeJSON(jsonPath)
 }
 
-// writeEngine is what the write benchmark needs from a store; both a
-// flat *core.DB and a sharded *partition.Store satisfy it.
+// writeEngine is what the write benchmark needs from a store — the
+// commit path and the monitoring view; both a flat *core.DB and a
+// sharded *partition.Store satisfy it.
 type writeEngine interface {
 	Apply(b *core.Batch) error
-	Metrics() metrics.Snapshot
-	Latencies() metrics.LatencySnapshot
+	Stats() core.Stats
 	Close() error
 }
 
@@ -440,7 +440,8 @@ func writersBench(cfg writersConfig, w io.Writer) (benchResult, error) {
 		}
 	}
 
-	m := db.Metrics()
+	st := db.Stats()
+	m := st.Counters
 	total := perWriter * cfg.writers
 	fmt.Fprintf(w, "writers=%d ops=%d value=%dB batch=%d sync=%v shards=%d\n",
 		cfg.writers, total, cfg.valueSize, cfg.batchSize, cfg.syncWAL, cfg.shards)
@@ -449,11 +450,8 @@ func writersBench(cfg writersConfig, w io.Writer) (benchResult, error) {
 	fmt.Fprintf(w, "commit_groups=%d batches=%d avg_group=%.2f wal_syncs=%d syncs_saved=%d\n",
 		m.CommitGroups, m.CommitBatches, m.AvgCommitGroupSize(),
 		m.WALSyncs, m.WALSyncsSaved)
-	if gdb, ok := db.(*core.DB); ok {
-		gs := gdb.CommitGroupSizes()
-		if gs.N > 0 {
-			fmt.Fprintf(w, "group size: n=%d mean=%.2f max=%d\n", gs.N, gs.Mean(), gs.Max)
-		}
+	if gs := st.Latency.GroupSize; gs.N > 0 {
+		fmt.Fprintf(w, "group size: n=%d mean=%.2f max=%d\n", gs.N, gs.Mean(), gs.Max)
 	}
 	res := benchResult{
 		Mode: "writers", Writers: cfg.writers, Shards: cfg.shards,
@@ -463,7 +461,7 @@ func writersBench(cfg writersConfig, w io.Writer) (benchResult, error) {
 		AllocsPerOp: float64(ms1.Mallocs-ms0.Mallocs) / float64(total),
 	}
 	res.fillEngine(m)
-	res.fillLatency(db.Latencies().Put)
+	res.fillLatency(st.Latency.Put)
 	return res, nil
 }
 
@@ -601,8 +599,7 @@ func runNet(addr, replicas string, conns, ops, valueSize, depth int, syncWAL boo
 		fmt.Printf("commit_groups=%d batches=%d avg_group=%.2f wal_syncs=%d syncs_saved=%d\n",
 			m.CommitGroups, m.CommitBatches, m.AvgCommitGroupSize(),
 			m.WALSyncs, m.WALSyncsSaved)
-		gs := db.CommitGroupSizes()
-		if gs.N > 0 {
+		if gs := db.Latencies().GroupSize; gs.N > 0 {
 			fmt.Printf("group size: n=%d mean=%.2f max=%d\n", gs.N, gs.Mean(), gs.Max)
 		}
 	}

@@ -58,12 +58,9 @@ type store interface {
 	Get(key []byte) ([]byte, error)
 	Delete(key []byte) error
 	Scan(start, end []byte, limit int) ([]core.KV, error)
-	TreeStats() core.TreeStats
-	FormatStats(verbose bool) string
+	Stats() core.Stats
 	Compact() error
-	WorkloadProfile() core.WorkloadProfile
 	Scrub() (core.ScrubReport, error)
-	Health() core.Health
 	Checkpoint(dir string) error
 	Flush() error
 	WaitIdle()
@@ -155,7 +152,7 @@ func main() {
 			fmt.Printf("%s = %s\n", kvp.Key, kvp.Value)
 		}
 	case "shape":
-		fmt.Println(db.TreeStats())
+		fmt.Println(db.Stats().Tree)
 	case "stats":
 		verbose := len(args) > 1 && (args[1] == "-v" || args[1] == "v")
 		if verbose {
@@ -168,9 +165,9 @@ func main() {
 				}
 			}
 		}
-		fmt.Println(db.FormatStats(verbose))
+		fmt.Println(db.Stats().Text(verbose))
 	case "workload":
-		renderWorkload(os.Stdout, db.WorkloadProfile())
+		renderWorkload(os.Stdout, db.Stats().Workload)
 	case "events":
 		// Events are recorded per process; the dump covers this session
 		// (open + WAL recovery, plus an optional manual compaction).
@@ -190,7 +187,7 @@ func main() {
 		if err := db.Compact(); err != nil {
 			fatal(err)
 		}
-		fmt.Println(db.TreeStats())
+		fmt.Println(db.Stats().Tree)
 	case "scrub":
 		// A sharded store reports one row per shard, then the total.
 		if ps, ok := db.(*partition.Store); ok {
@@ -212,7 +209,7 @@ func main() {
 		}
 		fmt.Println(rep)
 	case "health":
-		h := db.Health()
+		h := db.Stats().Health
 		printHealth(h.Degraded, h.Op, h.Kind, h.Cause)
 		if h.BgErr != "" {
 			fmt.Printf("last_bg_err op=%s: %s\n", h.BgErrOp, h.BgErr)
@@ -238,7 +235,7 @@ func main() {
 		}
 		db.WaitIdle()
 		name, T := db.Shape()
-		fmt.Printf("reshaped to %s (T=%d)\n%s\n", name, T, db.TreeStats())
+		fmt.Printf("reshaped to %s (T=%d)\n%s\n", name, T, db.Stats().Tree)
 	case "bench":
 		need(args, 2)
 		n, err := strconv.Atoi(args[1])
@@ -265,7 +262,7 @@ func main() {
 		}
 		el := time.Since(start)
 		fmt.Printf("%d puts in %v (%.0f ops/s)\n%s\nevents recorded: %d (run 'lsmctl events' style dumps in-session)\n",
-			n, el, float64(n)/el.Seconds(), db.FormatStats(true), ring.Total())
+			n, el, float64(n)/el.Seconds(), db.Stats().Text(true), ring.Total())
 	default:
 		fatal(fmt.Errorf("unknown command %q", args[0]))
 	}

@@ -123,7 +123,7 @@ func TestConcurrentApplyStress(t *testing.T) {
 			if m.CommitGroups < 1 || m.CommitGroups > m.CommitBatches {
 				t.Errorf("CommitGroups = %d out of range [1, %d]", m.CommitGroups, m.CommitBatches)
 			}
-			if gs := db.CommitGroupSizes(); gs.Sum != int64(writers*batches) {
+			if gs := db.Latencies().GroupSize; gs.Sum != int64(writers*batches) {
 				t.Errorf("group-size histogram sum = %d, want %d (batches must partition into groups)", gs.Sum, writers*batches)
 			}
 			if syncWAL && m.WALSyncs != m.CommitGroups {

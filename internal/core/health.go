@@ -88,21 +88,22 @@ func (e *DegradedError) Unwrap() error { return e.Cause }
 // identifies degraded-mode failures without unwrapping manually.
 func (e *DegradedError) Is(target error) bool { return target == ErrDegraded }
 
-// Health is a point-in-time summary of the engine's error state.
+// Health is a point-in-time summary of the engine's error state. Its
+// JSON form is the /healthz payload.
 type Health struct {
 	// Degraded reports the sticky read-only mode. When set, Op, Kind,
 	// Cause, and SinceNs describe the transition.
-	Degraded bool
-	Op       string // failing background operation
-	Kind     string // error class (transient/corruption/no-space)
-	Cause    string // root-cause error text
-	SinceNs  int64  // engine clock at the transition
+	Degraded bool   `json:"degraded"`
+	Op       string `json:"op,omitempty"`       // failing background operation
+	Kind     string `json:"kind,omitempty"`     // error class (transient/corruption/no-space)
+	Cause    string `json:"cause,omitempty"`    // root-cause error text
+	SinceNs  int64  `json:"since_ns,omitempty"` // engine clock at the transition
 	// BgErr is the first background error ever observed (empty if
-	// none), surfaced here — and in FormatStats — immediately rather
+	// none), surfaced here — and in Stats.Text — immediately rather
 	// than only at Close. A set BgErr with Degraded false means the
 	// failure was transient and a retry succeeded.
-	BgErr   string
-	BgErrOp string // operation that produced BgErr
+	BgErr   string `json:"bg_err,omitempty"`
+	BgErrOp string `json:"bg_err_op,omitempty"` // operation that produced BgErr
 }
 
 // Health returns the engine's current degradation state. It is safe to

@@ -27,7 +27,7 @@ func fillBuffer(t *testing.T, db *DB, round int) {
 // TestPersistentFlushFailureDegrades drives the full degradation story:
 // a sticky device fault exhausts the flush retries, the engine goes
 // read-only, writes fail fast with the typed cause, reads keep serving,
-// and every surface (Health, FormatStats, events, metrics) agrees.
+// and every surface (Health, Stats.Text, events, metrics) agrees.
 func TestPersistentFlushFailureDegrades(t *testing.T) {
 	ring := events.NewRing(1024)
 	base := vfs.NewMem()
@@ -83,9 +83,9 @@ func TestPersistentFlushFailureDegrades(t *testing.T) {
 	}
 
 	// Operator surfaces agree.
-	if stats := db.FormatStats(false); !strings.Contains(stats, "degraded=true") ||
+	if stats := db.Stats().Text(false); !strings.Contains(stats, "degraded=true") ||
 		!strings.Contains(stats, "op=flush") {
-		t.Fatalf("FormatStats misses degradation:\n%s", stats)
+		t.Fatalf("Stats text misses degradation:\n%s", stats)
 	}
 	if got := db.Metrics().Degraded; got != 1 {
 		t.Fatalf("degraded gauge = %d, want 1", got)
@@ -207,8 +207,8 @@ func TestTransientFailureRecoversWithoutDegrading(t *testing.T) {
 	if h.BgErr == "" || h.BgErrOp != "flush" {
 		t.Fatalf("transient error not surfaced in health: %+v", h)
 	}
-	if stats := db.FormatStats(false); !strings.Contains(stats, "degraded=false bg_err_op=flush") {
-		t.Fatalf("FormatStats misses the transient error:\n%s", stats)
+	if stats := db.Stats().Text(false); !strings.Contains(stats, "degraded=false bg_err_op=flush") {
+		t.Fatalf("Stats text misses the transient error:\n%s", stats)
 	}
 }
 

@@ -281,7 +281,7 @@ func (t *tenantTable) rows() []TenantWorkload {
 func tenantRow(e *tenantCounts) TenantWorkload {
 	name := e.name
 	if name == admission.DefaultTenant {
-		name = "(default)" // matches the server's FormatStats convention
+		name = "(default)" // matches the tenant rows of Stats.Text
 	}
 	return TenantWorkload{
 		Tenant:  name,
@@ -509,17 +509,8 @@ func (db *DB) WorkloadProfile() WorkloadProfile {
 	wp.WriteAmp = w.WriteAmplification()
 
 	ts := db.TreeStats()
-	var total, deepest int64
-	for _, ls := range ts.Levels {
-		total += int64(ls.Bytes)
-		// The denominator is the deepest *non-empty* level: in a young
-		// tree nothing has reached the last level yet, and an all-L0
-		// tree has space amplification 1, not infinity.
-		if ls.Bytes > 0 {
-			deepest = int64(ls.Bytes)
-		}
-	}
-	wp.SpaceBytesTotal, wp.SpaceBytesDeepest = total, deepest
+	total, deepest := ts.spaceTerms()
+	wp.SpaceBytesTotal, wp.SpaceBytesDeepest = int64(total), int64(deepest)
 	if deepest > 0 {
 		wp.SpaceAmp = float64(total) / float64(deepest)
 	}

@@ -43,7 +43,7 @@ type ScrubReport struct {
 }
 
 // String renders the report in the stable key=value style of
-// FormatStats, one line per finding.
+// Stats.Text, one line per finding.
 func (r ScrubReport) String() string {
 	s := fmt.Sprintf("scrub: tables=%d bytes=%d vlogs=%d manifest=%v corrupt=%d",
 		r.Tables, r.TableBytes, r.VlogSegments, r.ManifestOK, len(r.Findings))

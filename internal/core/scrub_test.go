@@ -126,8 +126,8 @@ func TestScrubDetectsAndQuarantinesBitFlip(t *testing.T) {
 	if m := db.Metrics(); m.ScrubCorruptions != 1 || m.ScrubbedTables == 0 {
 		t.Fatalf("scrub metrics off: scrubbed=%d corruptions=%d", m.ScrubbedTables, m.ScrubCorruptions)
 	}
-	if stats := db.FormatStats(false); !strings.Contains(stats, "scrub_corruptions=1") {
-		t.Fatalf("FormatStats misses scrub results:\n%s", stats)
+	if stats := db.Stats().Text(false); !strings.Contains(stats, "scrub_corruptions=1") {
+		t.Fatalf("Stats text misses scrub results:\n%s", stats)
 	}
 	var scrubEvents int
 	for _, e := range ring.Events() {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"lsmlab/internal/admission"
 	"lsmlab/internal/metrics"
 )
 
@@ -80,15 +81,137 @@ func (ts TreeStats) String() string {
 	return b.String()
 }
 
-// FormatStats renders the engine counters, derived amplification
-// figures, and — verbosely — the per-operation latency percentiles, for
-// lsmctl stats and logs.
-func (db *DB) FormatStats(verbose bool) string {
-	s := db.m.Snapshot()
+// Stats is the one plain-data view of a store's state that every
+// monitoring surface reads: the STATS text (Text), /metrics and the
+// lsmctl commands. A single tree fills it from its own getters
+// (DB.Stats); a partitioned store merges its shards' views
+// (MergeStats) and keeps one ShardStats row per shard; the server adds
+// its counters to Counters and Latency and describes itself in Server.
+type Stats struct {
+	Counters  metrics.Snapshot
+	Latency   metrics.LatencySnapshot
+	Health    Health
+	Tree      TreeStats
+	SpaceAmp  float64
+	DiskBytes uint64
+	Workload  WorkloadProfile
+	Shards    []ShardStats // nil for a single tree
+	Server    *ServerStats // nil on an embedded store
+}
+
+// ShardStats is the per-shard detail a merged view keeps — the figures
+// an operator needs to spot hot-shard skew.
+type ShardStats struct {
+	Tree      TreeStats
+	DiskBytes uint64
+	Degraded  bool
+}
+
+// ServerStats is the serving layer's section of the view.
+type ServerStats struct {
+	Tenants []admission.TenantStats // one row per tenant seen
+	// Leader is set on a replication leader, which reports its repl
+	// counters even while they are all zero.
+	Leader bool
+	// Traced is set when a tracer is attached; the span counts are its
+	// lifetime totals.
+	Traced                      bool
+	SpansStarted, SpansRetained uint64
+}
+
+// Stats fills the view for a single tree.
+func (db *DB) Stats() Stats {
+	ts := db.TreeStats()
+	return Stats{
+		Counters:  db.m.Snapshot(),
+		Latency:   db.m.Latencies(),
+		Health:    db.Health(),
+		Tree:      ts,
+		SpaceAmp:  ts.spaceAmp(),
+		DiskBytes: db.DiskUsageBytes(),
+		Workload:  db.WorkloadProfile(),
+	}
+}
+
+// MergeStats folds per-shard views into one store-wide view. Counters
+// and histograms merge by their descriptor tables' rules; the tree
+// shape sums level-wise with LiveSeq the maximum watermark (the
+// faithful form is SeqVector); health is degraded if any shard is,
+// carrying the first such shard's detail with its id prefixed to the
+// failing op; space amplification is total bytes over total unique
+// bytes; the workload profiles merge as MergeProfiles describes.
+func MergeStats(shards []Stats) Stats {
+	out := Stats{Shards: make([]ShardStats, len(shards))}
+	profiles := make([]WorkloadProfile, len(shards))
+	var total, unique uint64
+	for i, s := range shards {
+		out.Counters = out.Counters.Add(s.Counters)
+		out.Latency = out.Latency.Merge(s.Latency)
+		out.DiskBytes += s.DiskBytes
+		t, u := s.Tree.spaceTerms()
+		total, unique = total+t, unique+u
+		out.Health.add(i, s.Health)
+		out.Tree.add(s.Tree)
+		profiles[i] = s.Workload
+		out.Shards[i] = ShardStats{Tree: s.Tree, DiskBytes: s.DiskBytes, Degraded: s.Health.Degraded}
+	}
+	out.Workload = MergeProfiles(profiles)
+	out.SpaceAmp = 1
+	if unique > 0 {
+		out.SpaceAmp = float64(total) / float64(unique)
+	}
+	return out
+}
+
+// add folds shard i's health into a store-wide summary: the first
+// degraded shard and the first background error win.
+func (h *Health) add(i int, o Health) {
+	if o.Degraded && !h.Degraded {
+		h.Degraded = true
+		h.Op = fmt.Sprintf("shard-%d/%s", i, o.Op)
+		h.Kind, h.Cause, h.SinceNs = o.Kind, o.Cause, o.SinceNs
+	}
+	if o.BgErr != "" && h.BgErr == "" {
+		h.BgErr = o.BgErr
+		h.BgErrOp = fmt.Sprintf("shard-%d/%s", i, o.BgErrOp)
+	}
+}
+
+// add folds one shard's shape into a store-wide total.
+func (ts *TreeStats) add(o TreeStats) {
+	ts.TotalBytes += o.TotalBytes
+	ts.TotalFiles += o.TotalFiles
+	ts.TotalRuns += o.TotalRuns
+	ts.MemtableLen += o.MemtableLen
+	ts.Immutables += o.Immutables
+	ts.MemtableBytes += o.MemtableBytes
+	ts.BacklogBytes += o.BacklogBytes
+	ts.L0Runs += o.L0Runs
+	if o.LiveSeq > ts.LiveSeq {
+		ts.LiveSeq = o.LiveSeq
+	}
+	for i, l := range o.Levels {
+		for len(ts.Levels) <= i {
+			ts.Levels = append(ts.Levels, LevelStats{Level: len(ts.Levels)})
+		}
+		ts.Levels[i].Runs += l.Runs
+		ts.Levels[i].Files += l.Files
+		ts.Levels[i].Bytes += l.Bytes
+		ts.Levels[i].Capacity += l.Capacity
+	}
+}
+
+// Text renders the view as the STATS block: counters and derived
+// amplification figures, health, the measured workload, one row per
+// shard and per tenant, and — verbosely — per-level attribution,
+// latency percentiles and the tree shape. It is the payload of the
+// STATS verb and of lsmctl stats/top, for every engine form.
+func (v Stats) Text(verbose bool) string {
+	s := v.Counters
 	var b strings.Builder
 	b.WriteString(s.String())
 	fmt.Fprintf(&b, "\nspace_amp=%.2f disk=%d bytes cache_hit=%.2f throttle_ms=%d",
-		db.SpaceAmplification(), db.DiskUsageBytes(), s.CacheHitRate(), s.ThrottleNs/1e6)
+		v.SpaceAmp, v.DiskBytes, s.CacheHitRate(), s.ThrottleNs/1e6)
 	fmt.Fprintf(&b, "\nblock_reads=%d (cached %d) commit_groups=%d avg_group=%.2f wal_syncs=%d syncs_saved=%d",
 		s.BlockReads, s.BlockReadsCached, s.CommitGroups, s.AvgCommitGroupSize(),
 		s.WALSyncs, s.WALSyncsSaved)
@@ -96,19 +219,18 @@ func (db *DB) FormatStats(verbose bool) string {
 	// background error is visible the moment it happens, not at Close.
 	// Injected errors carry op+path (faultfs.OpError, os.PathError), so
 	// the failing operation and file name surface here.
-	h := db.Health()
+	h := v.Health
+	fmt.Fprintf(&b, "\ndegraded=%t", h.Degraded)
 	switch {
 	case h.Degraded:
-		fmt.Fprintf(&b, "\ndegraded=true op=%s kind=%s cause=%q", h.Op, h.Kind, h.Cause)
+		fmt.Fprintf(&b, " op=%s kind=%s cause=%q", h.Op, h.Kind, h.Cause)
 	case h.BgErr != "":
-		fmt.Fprintf(&b, "\ndegraded=false bg_err_op=%s bg_err=%q", h.BgErrOp, h.BgErr)
-	default:
-		fmt.Fprintf(&b, "\ndegraded=false")
+		fmt.Fprintf(&b, " bg_err_op=%s bg_err=%q", h.BgErrOp, h.BgErr)
 	}
 	if s.ScrubbedTables > 0 || s.ScrubCorruptions > 0 {
 		fmt.Fprintf(&b, " scrubbed=%d scrub_corruptions=%d", s.ScrubbedTables, s.ScrubCorruptions)
 	}
-	wp := db.WorkloadProfile()
+	wp := v.Workload
 	if wp.Enabled {
 		// The measured workload character and RUM point over the decay
 		// window — the live versions of the figures the paper's tuning
@@ -143,30 +265,58 @@ func (db *DB) FormatStats(verbose bool) string {
 			}
 		}
 	}
+	if len(v.Shards) > 0 {
+		fmt.Fprintf(&b, "\nshards=%d", len(v.Shards))
+	}
+	for i, sh := range v.Shards {
+		ts := sh.Tree
+		fmt.Fprintf(&b,
+			"\n  shard %03d: mem=%dB l0_runs=%d backlog=%dB runs=%d files=%d disk=%dB degraded=%v",
+			i, ts.MemtableBytes, ts.L0Runs, ts.BacklogBytes, ts.TotalRuns, ts.TotalFiles, sh.DiskBytes, sh.Degraded)
+	}
 	if verbose {
-		lat := db.m.Latencies()
+		lat := v.Latency
 		fmt.Fprintf(&b, "\nlatency (this process):")
 		fmt.Fprintf(&b, "\n  get        %s", lat.Get)
 		fmt.Fprintf(&b, "\n  put        %s", lat.Put)
 		fmt.Fprintf(&b, "\n  scan-next  %s", lat.ScanNext)
 		fmt.Fprintf(&b, "\n  flush      %s", lat.Flush)
 		fmt.Fprintf(&b, "\n  compaction %s", lat.Compaction)
-		gs := db.m.GroupSizes()
-		if gs.N > 0 {
-			fmt.Fprintf(&b, "\ncommit group size: n=%d mean=%.2f max=%d",
-				gs.N, gs.Mean(), gs.Max)
+		if gs := lat.GroupSize; gs.N > 0 {
+			fmt.Fprintf(&b, "\ncommit group size: n=%d mean=%.2f max=%d", gs.N, gs.Mean(), gs.Max)
 		}
 		// The tree shape rides along verbosely so remote consumers
 		// (lsmctl top over the STATS verb) see per-level runs/bytes
 		// without a second round trip.
-		fmt.Fprintf(&b, "\n%s", db.TreeStats())
+		fmt.Fprintf(&b, "\n%s", v.Tree)
+	}
+	if sv := v.Server; sv != nil {
+		fmt.Fprintf(&b, "\nserver: conns_open=%d opened=%d rejected=%d requests=%d errors=%d throttled=%d net_read=%dB net_written=%dB",
+			s.ConnsOpened-s.ConnsClosed, s.ConnsOpened, s.ConnsRejected,
+			s.NetRequests, s.NetRequestErrors, s.NetThrottled, s.NetBytesRead, s.NetBytesWritten)
+		// One row per tenant seen, so lsmctl top and the STATS verb show
+		// the multi-tenant picture without a scraper.
+		for _, t := range sv.Tenants {
+			name := t.Tenant
+			if name == admission.DefaultTenant {
+				name = "(default)"
+			}
+			fmt.Fprintf(&b, "\ntenant %s: requests=%d throttled=%d in=%dB out=%dB throttling=%v",
+				name, t.Requests, t.Throttled, t.BytesIn, t.BytesOut, t.Throttling)
+		}
+		// The repl line appears only on nodes that replicate: leaders
+		// show shipping counters, followers apply counters.
+		if sv.Leader || s.ReplBatchesApplied+s.ReplRepairOps+s.ReplGapsSignaled > 0 {
+			fmt.Fprintf(&b, "\nrepl: subscribes=%d frames_shipped=%d gaps=%d acks=%d repair_pages=%d batches_applied=%d repair_ops=%d",
+				s.ReplSubscribes, s.ReplFramesShipped, s.ReplGapsSignaled,
+				s.ReplAcks, s.ReplRepairPages, s.ReplBatchesApplied, s.ReplRepairOps)
+		}
+		if verbose {
+			fmt.Fprintf(&b, "\n  request    %s", v.Latency.Request)
+		}
 	}
 	return b.String()
 }
-
-// CommitGroupSizes returns the histogram of batches per commit group
-// (values are counts, not durations).
-func (db *DB) CommitGroupSizes() metrics.HistogramSnapshot { return db.m.GroupSizes() }
 
 // FilterMemoryBytes sums the pinned Bloom-filter bytes across every
 // live table — the memory side of the filter experiments.
@@ -190,26 +340,30 @@ func (db *DB) FilterMemoryBytes() int64 {
 	return total
 }
 
-// SpaceAmplification estimates space amplification: bytes on disk
-// divided by the bytes of unique live entries (approximated by the last
-// level's size plus live memtable data, per Dong et al.'s definition).
-// It returns 1 when the tree is empty.
-func (db *DB) SpaceAmplification() float64 {
-	v := db.Version()
-	total := float64(v.TotalSize())
-	if total == 0 {
-		return 1
-	}
-	// Unique data is approximated by the deepest non-empty level.
-	var deepest float64
-	for i := len(v.Levels) - 1; i >= 0; i-- {
-		if sz := v.Levels[i].Size(); sz > 0 {
-			deepest = float64(sz)
-			break
+// spaceTerms returns space amplification's numerator and denominator:
+// every table byte, and the bytes of unique live entries approximated
+// by the deepest non-empty level (Dong et al.'s definition; in a young
+// tree nothing has reached the last level yet, and an all-L0 tree has
+// space amplification 1, not infinity).
+func (ts TreeStats) spaceTerms() (total, deepest uint64) {
+	for _, l := range ts.Levels {
+		total += l.Bytes
+		if l.Bytes > 0 {
+			deepest = l.Bytes
 		}
 	}
+	return total, deepest
+}
+
+// spaceAmp is bytes on disk divided by the bytes of unique live
+// entries, and 1 for an empty tree.
+func (ts TreeStats) spaceAmp() float64 {
+	total, deepest := ts.spaceTerms()
 	if deepest == 0 {
 		return 1
 	}
-	return total / deepest
+	return float64(total) / float64(deepest)
 }
+
+// SpaceAmplification estimates the tree's current space amplification.
+func (db *DB) SpaceAmplification() float64 { return db.TreeStats().spaceAmp() }

@@ -178,8 +178,9 @@ func (s HistogramSnapshot) String() string {
 		d(s.Quantile(0.99)), d(s.Max))
 }
 
-// LatencySnapshot bundles the per-operation latency histograms of one
-// engine at one instant. Snapshots merge component-wise.
+// LatencySnapshot bundles every histogram of one engine at one instant:
+// the per-operation latencies and the commit-group sizes. Each field
+// has exactly one row in Histograms; snapshots merge component-wise.
 type LatencySnapshot struct {
 	Get        HistogramSnapshot // DB.Get, end to end
 	Put        HistogramSnapshot // DB.Apply (single puts and batches)
@@ -187,16 +188,22 @@ type LatencySnapshot struct {
 	Flush      HistogramSnapshot // memtable flush jobs
 	Compaction HistogramSnapshot // compaction jobs
 	Request    HistogramSnapshot // network requests (internal/server)
+	GroupSize  HistogramSnapshot // batches per commit group (counts, not ns)
+}
+
+// Latencies returns a snapshot of every histogram.
+func (m *Metrics) Latencies() LatencySnapshot {
+	var s LatencySnapshot
+	for _, d := range Histograms {
+		*d.snap(&s) = d.live(m).Snapshot()
+	}
+	return s
 }
 
 // Merge returns the component-wise merge of two latency snapshots.
 func (s LatencySnapshot) Merge(o LatencySnapshot) LatencySnapshot {
-	return LatencySnapshot{
-		Get:        s.Get.Merge(o.Get),
-		Put:        s.Put.Merge(o.Put),
-		ScanNext:   s.ScanNext.Merge(o.ScanNext),
-		Flush:      s.Flush.Merge(o.Flush),
-		Compaction: s.Compaction.Merge(o.Compaction),
-		Request:    s.Request.Merge(o.Request),
+	for _, d := range Histograms {
+		*d.snap(&s) = d.snap(&s).Merge(*d.snap(&o))
 	}
+	return s
 }

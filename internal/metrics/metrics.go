@@ -1,7 +1,11 @@
 // Package metrics collects the engine-wide counters from which the
 // experiments derive write amplification, read amplification, space
 // amplification, stall time, and filter effectiveness. All counters are
-// lock-free and safe for concurrent update.
+// lock-free and safe for concurrent update: a hot path touches its
+// atomic field directly. Everything that reads them — snapshots,
+// intervals, cross-shard merges, the /metrics exposition — walks the
+// descriptor tables in table.go, so a new counter is one field in
+// Metrics, one in Snapshot and one row there.
 package metrics
 
 import (
@@ -31,7 +35,11 @@ type Metrics struct {
 	RunsProbed      atomic.Int64 // sorted runs consulted by point lookups
 	FilterProbes    atomic.Int64 // bloom filter probes
 	FilterNegatives atomic.Int64 // probes that skipped a run
-	FilterFalsePos  atomic.Int64 // probes that passed but found nothing
+	// FilterFalsePos counts run probes that found nothing, filter
+	// negatives included — not only filter passes that proved false.
+	// Readers wanting true false positives subtract FilterNegatives, as
+	// benchmark/ does; narrowing the counter must change both together.
+	FilterFalsePos atomic.Int64
 
 	// Structure maintenance.
 	Flushes                atomic.Int64 // memtable flushes
@@ -110,23 +118,9 @@ type Metrics struct {
 	RequestNs Histogram
 }
 
-// GroupSizes returns a snapshot of the commit-group-size histogram
-// (batches per group; values are counts, not nanoseconds).
-func (m *Metrics) GroupSizes() HistogramSnapshot { return m.CommitGroupSize.Snapshot() }
-
-// Latencies returns a snapshot of every latency histogram.
-func (m *Metrics) Latencies() LatencySnapshot {
-	return LatencySnapshot{
-		Get:        m.GetNs.Snapshot(),
-		Put:        m.PutNs.Snapshot(),
-		ScanNext:   m.ScanNextNs.Snapshot(),
-		Flush:      m.FlushNs.Snapshot(),
-		Compaction: m.CompactionNs.Snapshot(),
-		Request:    m.RequestNs.Snapshot(),
-	}
-}
-
-// Snapshot is an immutable copy of the counters at one instant.
+// Snapshot is an immutable copy of the counters at one instant. Every
+// field has exactly one row in Counters, which is how Snapshot, Sub and
+// Add reach it.
 type Snapshot struct {
 	Puts, Deletes, BytesIngested, WALBytes        int64
 	CommitGroups, CommitBatches                   int64
@@ -152,163 +146,71 @@ type Snapshot struct {
 
 // Snapshot returns a copy of the current counter values.
 func (m *Metrics) Snapshot() Snapshot {
-	return Snapshot{
-		Puts:                   m.Puts.Load(),
-		Deletes:                m.Deletes.Load(),
-		BytesIngested:          m.BytesIngested.Load(),
-		WALBytes:               m.WALBytes.Load(),
-		CommitGroups:           m.CommitGroups.Load(),
-		CommitBatches:          m.CommitBatches.Load(),
-		WALSyncs:               m.WALSyncs.Load(),
-		WALSyncsSaved:          m.WALSyncsSaved.Load(),
-		Gets:                   m.Gets.Load(),
-		GetHits:                m.GetHits.Load(),
-		Scans:                  m.Scans.Load(),
-		ScanEntries:            m.ScanEntries.Load(),
-		RunsProbed:             m.RunsProbed.Load(),
-		FilterProbes:           m.FilterProbes.Load(),
-		FilterNegatives:        m.FilterNegatives.Load(),
-		FilterFalsePos:         m.FilterFalsePos.Load(),
-		Flushes:                m.Flushes.Load(),
-		FlushBytes:             m.FlushBytes.Load(),
-		Compactions:            m.Compactions.Load(),
-		AgeCompactions:         m.AgeCompactions.Load(),
-		CompactionBytesRead:    m.CompactionBytesRead.Load(),
-		CompactionBytesWritten: m.CompactionBytesWritten.Load(),
-		TombstonesDropped:      m.TombstonesDropped.Load(),
-		EntriesDropped:         m.EntriesDropped.Load(),
-		StallNs:                m.StallNs.Load(),
-		WriteStalls:            m.WriteStalls.Load(),
-		StallAborts:            m.StallAborts.Load(),
-		ThrottleNs:             m.ThrottleNs.Load(),
-		CacheHits:              m.CacheHits.Load(),
-		CacheMisses:            m.CacheMisses.Load(),
-		BlockReads:             m.BlockReads.Load(),
-		BlockReadsCached:       m.BlockReadsCached.Load(),
-		Degraded:               m.Degraded.Load(),
-		BgRetries:              m.BgRetries.Load(),
-		ScrubbedTables:         m.ScrubbedTables.Load(),
-		ScrubCorruptions:       m.ScrubCorruptions.Load(),
-		ConnsOpened:            m.ConnsOpened.Load(),
-		ConnsClosed:            m.ConnsClosed.Load(),
-		ConnsRejected:          m.ConnsRejected.Load(),
-		NetRequests:            m.NetRequests.Load(),
-		NetRequestErrors:       m.NetRequestErrors.Load(),
-		NetThrottled:           m.NetThrottled.Load(),
-		NetBytesRead:           m.NetBytesRead.Load(),
-		NetBytesWritten:        m.NetBytesWritten.Load(),
-		ReplSubscribes:         m.ReplSubscribes.Load(),
-		ReplFramesShipped:      m.ReplFramesShipped.Load(),
-		ReplGapsSignaled:       m.ReplGapsSignaled.Load(),
-		ReplAcks:               m.ReplAcks.Load(),
-		ReplRepairPages:        m.ReplRepairPages.Load(),
-		ReplBatchesApplied:     m.ReplBatchesApplied.Load(),
-		ReplRepairOps:          m.ReplRepairOps.Load(),
+	var s Snapshot
+	for _, d := range Counters {
+		*d.snap(&s) = d.live(m).Load()
 	}
+	return s
+}
+
+// Sub returns s - o over an interval: counters subtract, flags keep
+// s's (the current) state.
+func (s Snapshot) Sub(o Snapshot) Snapshot {
+	for _, d := range Counters {
+		if d.Kind == Counter {
+			*d.snap(&s) -= *d.snap(&o)
+		}
+	}
+	return s
+}
+
+// Add merges the snapshots of two parts of one system — two shards of
+// a store, an engine and its server: counters sum, a flag is set if
+// either part sets it.
+func (s Snapshot) Add(o Snapshot) Snapshot {
+	for _, d := range Counters {
+		p, v := d.snap(&s), *d.snap(&o)
+		switch {
+		case d.Kind == Counter:
+			*p += v
+		case v > *p: // Flag: set if either side sets it
+			*p = v
+		}
+	}
+	return s
+}
+
+// ratio is num/den, and 0 — not NaN — while the denominator is still
+// zero (an idle interval, or a numerator bumped before its denominator
+// mid-snapshot).
+func ratio(num, den int64) float64 {
+	if den == 0 {
+		return 0
+	}
+	return float64(num) / float64(den)
 }
 
 // AvgCommitGroupSize is the mean number of batches coalesced per commit
 // group — 1.0 means writes never overlapped, higher means the group
 // commit is amortizing WAL writes (and syncs, under SyncWAL).
-func (s Snapshot) AvgCommitGroupSize() float64 {
-	if s.CommitGroups == 0 {
-		return 0
-	}
-	return float64(s.CommitBatches) / float64(s.CommitGroups)
-}
+func (s Snapshot) AvgCommitGroupSize() float64 { return ratio(s.CommitBatches, s.CommitGroups) }
 
 // WriteAmplification is the ratio of bytes written to storage (flushes
 // plus compactions, excluding the WAL) to user bytes ingested.
 func (s Snapshot) WriteAmplification() float64 {
-	if s.BytesIngested == 0 {
-		return 0
-	}
-	return float64(s.FlushBytes+s.CompactionBytesWritten) / float64(s.BytesIngested)
+	return ratio(s.FlushBytes+s.CompactionBytesWritten, s.BytesIngested)
 }
 
 // ReadAmplification is the average number of sorted runs probed per
 // point lookup.
-func (s Snapshot) ReadAmplification() float64 {
-	if s.Gets == 0 {
-		return 0
-	}
-	return float64(s.RunsProbed) / float64(s.Gets)
-}
+func (s Snapshot) ReadAmplification() float64 { return ratio(s.RunsProbed, s.Gets) }
 
 // FilterEffectiveness is the fraction of filter probes that skipped a
 // run.
-func (s Snapshot) FilterEffectiveness() float64 {
-	if s.FilterProbes == 0 {
-		return 0
-	}
-	return float64(s.FilterNegatives) / float64(s.FilterProbes)
-}
+func (s Snapshot) FilterEffectiveness() float64 { return ratio(s.FilterNegatives, s.FilterProbes) }
 
 // CacheHitRate is the fraction of block-cache lookups that hit.
-func (s Snapshot) CacheHitRate() float64 {
-	total := s.CacheHits + s.CacheMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(total)
-}
-
-// Sub returns s - o component-wise, for measuring an interval.
-func (s Snapshot) Sub(o Snapshot) Snapshot {
-	return Snapshot{
-		Puts:                   s.Puts - o.Puts,
-		Deletes:                s.Deletes - o.Deletes,
-		BytesIngested:          s.BytesIngested - o.BytesIngested,
-		WALBytes:               s.WALBytes - o.WALBytes,
-		CommitGroups:           s.CommitGroups - o.CommitGroups,
-		CommitBatches:          s.CommitBatches - o.CommitBatches,
-		WALSyncs:               s.WALSyncs - o.WALSyncs,
-		WALSyncsSaved:          s.WALSyncsSaved - o.WALSyncsSaved,
-		Gets:                   s.Gets - o.Gets,
-		GetHits:                s.GetHits - o.GetHits,
-		Scans:                  s.Scans - o.Scans,
-		ScanEntries:            s.ScanEntries - o.ScanEntries,
-		RunsProbed:             s.RunsProbed - o.RunsProbed,
-		FilterProbes:           s.FilterProbes - o.FilterProbes,
-		FilterNegatives:        s.FilterNegatives - o.FilterNegatives,
-		FilterFalsePos:         s.FilterFalsePos - o.FilterFalsePos,
-		Flushes:                s.Flushes - o.Flushes,
-		FlushBytes:             s.FlushBytes - o.FlushBytes,
-		Compactions:            s.Compactions - o.Compactions,
-		AgeCompactions:         s.AgeCompactions - o.AgeCompactions,
-		CompactionBytesRead:    s.CompactionBytesRead - o.CompactionBytesRead,
-		CompactionBytesWritten: s.CompactionBytesWritten - o.CompactionBytesWritten,
-		TombstonesDropped:      s.TombstonesDropped - o.TombstonesDropped,
-		EntriesDropped:         s.EntriesDropped - o.EntriesDropped,
-		StallNs:                s.StallNs - o.StallNs,
-		WriteStalls:            s.WriteStalls - o.WriteStalls,
-		StallAborts:            s.StallAborts - o.StallAborts,
-		ThrottleNs:             s.ThrottleNs - o.ThrottleNs,
-		CacheHits:              s.CacheHits - o.CacheHits,
-		CacheMisses:            s.CacheMisses - o.CacheMisses,
-		BlockReads:             s.BlockReads - o.BlockReads,
-		BlockReadsCached:       s.BlockReadsCached - o.BlockReadsCached,
-		Degraded:               s.Degraded, // gauge: intervals keep the current state
-		BgRetries:              s.BgRetries - o.BgRetries,
-		ScrubbedTables:         s.ScrubbedTables - o.ScrubbedTables,
-		ScrubCorruptions:       s.ScrubCorruptions - o.ScrubCorruptions,
-		ConnsOpened:            s.ConnsOpened - o.ConnsOpened,
-		ConnsClosed:            s.ConnsClosed - o.ConnsClosed,
-		ConnsRejected:          s.ConnsRejected - o.ConnsRejected,
-		NetRequests:            s.NetRequests - o.NetRequests,
-		NetRequestErrors:       s.NetRequestErrors - o.NetRequestErrors,
-		NetThrottled:           s.NetThrottled - o.NetThrottled,
-		NetBytesRead:           s.NetBytesRead - o.NetBytesRead,
-		NetBytesWritten:        s.NetBytesWritten - o.NetBytesWritten,
-		ReplSubscribes:         s.ReplSubscribes - o.ReplSubscribes,
-		ReplFramesShipped:      s.ReplFramesShipped - o.ReplFramesShipped,
-		ReplGapsSignaled:       s.ReplGapsSignaled - o.ReplGapsSignaled,
-		ReplAcks:               s.ReplAcks - o.ReplAcks,
-		ReplRepairPages:        s.ReplRepairPages - o.ReplRepairPages,
-		ReplBatchesApplied:     s.ReplBatchesApplied - o.ReplBatchesApplied,
-		ReplRepairOps:          s.ReplRepairOps - o.ReplRepairOps,
-	}
-}
+func (s Snapshot) CacheHitRate() float64 { return ratio(s.CacheHits, s.CacheHits+s.CacheMisses) }
 
 // String renders the headline numbers for logs and the lsmctl stats
 // command.

@@ -137,9 +137,6 @@ func Open(opts core.Options, n int) (*Store, error) {
 // NumShards returns the shard count.
 func (s *Store) NumShards() int { return len(s.parts) }
 
-// NumPartitions is NumShards under its historical name.
-func (s *Store) NumPartitions() int { return len(s.parts) }
-
 // shardOf returns the index of the shard owning key.
 func (s *Store) shardOf(key []byte) int {
 	return int(bloom.Hash64(key) % uint64(len(s.parts)))
@@ -255,14 +252,5 @@ func (s *Store) Partition(i int) *core.DB { return s.parts[i] }
 
 // Close closes every shard, aggregating their errors.
 func (s *Store) Close() error {
-	var errs []error
-	for i, p := range s.parts {
-		if p == nil {
-			continue
-		}
-		if err := p.Close(); err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", shardDirName(i), err))
-		}
-	}
-	return errors.Join(errs...)
+	return s.eachShard(func(_ int, p *core.DB) error { return p.Close() })
 }

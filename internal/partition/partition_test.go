@@ -26,7 +26,7 @@ func testStore(t *testing.T, n int) (*Store, core.Options) {
 
 func TestBasicOps(t *testing.T) {
 	s, _ := testStore(t, 4)
-	if s.NumPartitions() != 4 {
+	if s.NumShards() != 4 {
 		t.Fatal("partitions")
 	}
 	for i := 0; i < 100; i++ {

@@ -3,7 +3,6 @@ package partition
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"lsmlab/internal/compaction"
 	"lsmlab/internal/core"
@@ -13,32 +12,31 @@ import (
 )
 
 // Aggregation: the sharded store surfaces the same monitoring and
-// maintenance API as a single tree — metrics, latency histograms,
-// health, tree shape, scrub, checkpoint — by folding the per-shard
-// answers together, and keeps the per-shard detail available for
-// operators hunting hot-shard skew (ShardTreeStats, the per-shard rows
-// in FormatStats).
+// maintenance API as a single tree. Monitoring is one view — Stats
+// merges the shards' core.Stats and keeps a row per shard for
+// operators hunting hot-shard skew; maintenance (flush, compact,
+// retune, scrub, checkpoint, close) fans out through eachShard.
 
-// Flush flushes every shard.
-func (s *Store) Flush() error {
+// eachShard runs fn on every shard and joins the failures, each named
+// by its shard directory.
+func (s *Store) eachShard(fn func(i int, p *core.DB) error) error {
 	var errs []error
 	for i, p := range s.parts {
-		if err := p.Flush(); err != nil {
+		if err := fn(i, p); err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", shardDirName(i), err))
 		}
 	}
 	return errors.Join(errs...)
 }
 
+// Flush flushes every shard.
+func (s *Store) Flush() error {
+	return s.eachShard(func(_ int, p *core.DB) error { return p.Flush() })
+}
+
 // Compact runs a full manual compaction on every shard.
 func (s *Store) Compact() error {
-	var errs []error
-	for i, p := range s.parts {
-		if err := p.Compact(); err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", shardDirName(i), err))
-		}
-	}
-	return errors.Join(errs...)
+	return s.eachShard(func(_ int, p *core.DB) error { return p.Compact() })
 }
 
 // WaitIdle blocks until every shard's background work has drained.
@@ -48,119 +46,22 @@ func (s *Store) WaitIdle() {
 	}
 }
 
-// Metrics sums the per-shard counters.
-func (s *Store) Metrics() metrics.Snapshot {
-	var total metrics.Snapshot
-	for _, p := range s.parts {
-		total = sumSnapshots(total, p.Metrics())
+// Stats merges the shards' views into the store-wide one, by the
+// descriptor tables' rules: counters sum, the degraded flag is set if
+// any shard sets it, histograms merge bucket-wise.
+func (s *Store) Stats() core.Stats {
+	views := make([]core.Stats, len(s.parts))
+	for i, p := range s.parts {
+		views[i] = p.Stats()
 	}
-	return total
+	return core.MergeStats(views)
 }
 
-func sumSnapshots(a, b metrics.Snapshot) metrics.Snapshot {
-	// Snapshot exposes Sub but not Add; sum field-wise via Sub of a
-	// zero value: a + b == a - (0 - b).
-	var zero metrics.Snapshot
-	return a.Sub(zero.Sub(b))
-}
-
-// Latencies merges the per-shard latency histograms.
-func (s *Store) Latencies() metrics.LatencySnapshot {
-	var total metrics.LatencySnapshot
-	for _, p := range s.parts {
-		total = total.Merge(p.Latencies())
-	}
-	return total
-}
+// Metrics returns the merged counters.
+func (s *Store) Metrics() metrics.Snapshot { return s.Stats().Counters }
 
 // DiskUsageBytes sums the shards' footprints.
-func (s *Store) DiskUsageBytes() uint64 {
-	var total uint64
-	for _, p := range s.parts {
-		total += p.DiskUsageBytes()
-	}
-	return total
-}
-
-// TreeStats aggregates the shards' shapes: per-level figures are summed
-// level-wise, the memtable and backlog gauges added, and LiveSeq is the
-// maximum watermark (a scalar summary; the faithful form is SeqVector).
-func (s *Store) TreeStats() core.TreeStats {
-	var ts core.TreeStats
-	for _, p := range s.parts {
-		pt := p.TreeStats()
-		ts.TotalBytes += pt.TotalBytes
-		ts.TotalFiles += pt.TotalFiles
-		ts.TotalRuns += pt.TotalRuns
-		ts.MemtableLen += pt.MemtableLen
-		ts.Immutables += pt.Immutables
-		ts.MemtableBytes += pt.MemtableBytes
-		ts.BacklogBytes += pt.BacklogBytes
-		ts.L0Runs += pt.L0Runs
-		if pt.LiveSeq > ts.LiveSeq {
-			ts.LiveSeq = pt.LiveSeq
-		}
-		for i, l := range pt.Levels {
-			for len(ts.Levels) <= i {
-				ts.Levels = append(ts.Levels, core.LevelStats{Level: len(ts.Levels)})
-			}
-			ts.Levels[i].Runs += l.Runs
-			ts.Levels[i].Files += l.Files
-			ts.Levels[i].Bytes += l.Bytes
-			ts.Levels[i].Capacity += l.Capacity
-		}
-	}
-	return ts
-}
-
-// ShardTreeStats returns each shard's own shape, index-aligned with the
-// shard numbering — the raw material for hot-shard dashboards.
-func (s *Store) ShardTreeStats() []core.TreeStats {
-	out := make([]core.TreeStats, len(s.parts))
-	for i, p := range s.parts {
-		out[i] = p.TreeStats()
-	}
-	return out
-}
-
-// SpaceAmplification composes the per-shard estimates: total bytes
-// across shards over total unique bytes (each shard's unique size is
-// recovered from its own ratio).
-func (s *Store) SpaceAmplification() float64 {
-	var total, unique float64
-	for _, p := range s.parts {
-		t := float64(p.TreeStats().TotalBytes)
-		if amp := p.SpaceAmplification(); amp > 0 {
-			total += t
-			unique += t / amp
-		}
-	}
-	if unique == 0 {
-		return 1
-	}
-	return total / unique
-}
-
-// Health reports degraded if any shard is degraded, carrying the first
-// degraded shard's detail with its shard id prefixed to the failing op.
-func (s *Store) Health() core.Health {
-	var h core.Health
-	for i, p := range s.parts {
-		ph := p.Health()
-		if ph.Degraded && !h.Degraded {
-			h.Degraded = true
-			h.Op = fmt.Sprintf("shard-%d/%s", i, ph.Op)
-			h.Kind = ph.Kind
-			h.Cause = ph.Cause
-			h.SinceNs = ph.SinceNs
-		}
-		if ph.BgErr != "" && h.BgErr == "" {
-			h.BgErr = ph.BgErr
-			h.BgErrOp = fmt.Sprintf("shard-%d/%s", i, ph.BgErrOp)
-		}
-	}
-	return h
-}
+func (s *Store) DiskUsageBytes() uint64 { return s.Stats().DiskBytes }
 
 // Tracer returns the tracer the shards share (they inherit one Options,
 // so spans from every shard land in the same ring).
@@ -168,13 +69,7 @@ func (s *Store) Tracer() *trace.Tracer { return s.parts[0].Tracer() }
 
 // SetShape retunes every shard to the layout online.
 func (s *Store) SetShape(layout compaction.Layout, sizeRatio int) error {
-	var errs []error
-	for i, p := range s.parts {
-		if err := p.SetShape(layout, sizeRatio); err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", shardDirName(i), err))
-		}
-	}
-	return errors.Join(errs...)
+	return s.eachShard(func(_ int, p *core.DB) error { return p.SetShape(layout, sizeRatio) })
 }
 
 // Shape returns the shards' common strategy name and size ratio.
@@ -184,18 +79,15 @@ func (s *Store) Shape() (layout string, sizeRatio int) { return s.parts[0].Shape
 // finding paths prefixed by the shard directory.
 func (s *Store) ScrubShards() ([]core.ScrubReport, error) {
 	reps := make([]core.ScrubReport, len(s.parts))
-	var errs []error
-	for i, p := range s.parts {
+	err := s.eachShard(func(i int, p *core.DB) error {
 		rep, err := p.Scrub()
-		if err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", shardDirName(i), err))
-		}
 		for j := range rep.Findings {
 			rep.Findings[j].Path = vfs.Join(shardDirName(i), rep.Findings[j].Path)
 		}
 		reps[i] = rep
-	}
-	return reps, errors.Join(errs...)
+		return err
+	})
+	return reps, err
 }
 
 // Scrub verifies every shard and merges the reports. ManifestOK is the
@@ -225,88 +117,5 @@ func MergeScrubReports(reps []core.ScrubReport) core.ScrubReport {
 // dir/part-NNN, reproducing the store's own layout so the checkpoint
 // reopens as a sharded store with the same count.
 func (s *Store) Checkpoint(dir string) error {
-	var errs []error
-	for i, p := range s.parts {
-		if err := p.Checkpoint(vfs.Join(dir, shardDirName(i))); err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", shardDirName(i), err))
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// WorkloadProfile aggregates the per-shard workload characterizations
-// into one partition-level view: counts and per-level attribution sum,
-// distinct-key estimates add (shards hash-partition the key space, so
-// their key sets are disjoint), hot keys merge by summed count, and
-// the RUM ratios are recomputed from the summed terms.
-func (s *Store) WorkloadProfile() core.WorkloadProfile {
-	ps := make([]core.WorkloadProfile, len(s.parts))
-	for i, p := range s.parts {
-		ps[i] = p.WorkloadProfile()
-	}
-	return core.MergeProfiles(ps)
-}
-
-// FormatStats renders the aggregated counters in the same shape as a
-// single tree's block, followed by one row per shard — memtable bytes,
-// L0 runs, compaction backlog, disk, health — so hot-shard skew is
-// visible at a glance (lsmctl stats/top read this over the STATS verb).
-func (s *Store) FormatStats(verbose bool) string {
-	m := s.Metrics()
-	var b strings.Builder
-	b.WriteString(m.String())
-	fmt.Fprintf(&b, "\nspace_amp=%.2f disk=%d bytes cache_hit=%.2f throttle_ms=%d",
-		s.SpaceAmplification(), s.DiskUsageBytes(), m.CacheHitRate(), m.ThrottleNs/1e6)
-	fmt.Fprintf(&b, "\nblock_reads=%d (cached %d) commit_groups=%d avg_group=%.2f wal_syncs=%d syncs_saved=%d",
-		m.BlockReads, m.BlockReadsCached, m.CommitGroups, m.AvgCommitGroupSize(),
-		m.WALSyncs, m.WALSyncsSaved)
-	h := s.Health()
-	switch {
-	case h.Degraded:
-		fmt.Fprintf(&b, "\ndegraded=true op=%s kind=%s cause=%q", h.Op, h.Kind, h.Cause)
-	case h.BgErr != "":
-		fmt.Fprintf(&b, "\ndegraded=false bg_err_op=%s bg_err=%q", h.BgErrOp, h.BgErr)
-	default:
-		fmt.Fprintf(&b, "\ndegraded=false")
-	}
-	if m.ScrubbedTables > 0 || m.ScrubCorruptions > 0 {
-		fmt.Fprintf(&b, " scrubbed=%d scrub_corruptions=%d", m.ScrubbedTables, m.ScrubCorruptions)
-	}
-	wp := s.WorkloadProfile()
-	if wp.Enabled {
-		fmt.Fprintf(&b, "\nworkload: gets=%d puts=%d deletes=%d scans=%d mean_scan_len=%.1f distinct~%d zipf_s=%.2f top_share=%.2f",
-			wp.Gets, wp.Puts, wp.Deletes, wp.Scans, wp.MeanScanLen, wp.DistinctKeys, wp.ZipfS, wp.TopShare)
-		fmt.Fprintf(&b, "\nrum(window): read_amp=%.2f write_amp=%.2f space_amp=%.2f",
-			wp.ReadAmp, wp.WriteAmp, wp.SpaceAmp)
-	}
-	if verbose && wp.Enabled {
-		for _, lp := range wp.Levels {
-			fmt.Fprintf(&b, "\n  L%d: runs=%d probes/get=%.2f block_reads=%d (cached %d) bytes_read=%d bytes_written=%d compact_in=%d",
-				lp.Level, lp.LiveRuns, lp.ReadAmp, lp.BlockReads, lp.BlockReadsCached,
-				lp.BytesRead, lp.BytesWritten, lp.CompactionBytesIn)
-		}
-		for _, tw := range wp.Tenants {
-			fmt.Fprintf(&b, "\n  tenant %s: ops~%d gets=%d puts=%d deletes=%d scans=%d",
-				tw.Tenant, tw.Ops, tw.Gets, tw.Puts, tw.Deletes, tw.Scans)
-		}
-	}
-	fmt.Fprintf(&b, "\nshards=%d", len(s.parts))
-	for i, p := range s.parts {
-		ts := p.TreeStats()
-		ph := p.Health()
-		fmt.Fprintf(&b, "\n  shard %03d: mem=%dB l0_runs=%d backlog=%dB runs=%d files=%d disk=%dB degraded=%v",
-			i, ts.MemtableBytes, ts.L0Runs, ts.BacklogBytes, ts.TotalRuns, ts.TotalFiles,
-			p.DiskUsageBytes(), ph.Degraded)
-	}
-	if verbose {
-		lat := s.Latencies()
-		fmt.Fprintf(&b, "\nlatency (this process):")
-		fmt.Fprintf(&b, "\n  get        %s", lat.Get)
-		fmt.Fprintf(&b, "\n  put        %s", lat.Put)
-		fmt.Fprintf(&b, "\n  scan-next  %s", lat.ScanNext)
-		fmt.Fprintf(&b, "\n  flush      %s", lat.Flush)
-		fmt.Fprintf(&b, "\n  compaction %s", lat.Compaction)
-		fmt.Fprintf(&b, "\n%s", s.TreeStats())
-	}
-	return b.String()
+	return s.eachShard(func(i int, p *core.DB) error { return p.Checkpoint(vfs.Join(dir, shardDirName(i))) })
 }

@@ -1,7 +1,7 @@
 package replica
 
 import (
-	"lsmlab/internal/metrics"
+	"lsmlab/internal/core"
 	"lsmlab/internal/server"
 )
 
@@ -26,14 +26,14 @@ func NewEngine(e server.Engine, r *Receiver) *Engine {
 // SeqVector reports the applied-through leader sequence per shard.
 func (e *Engine) SeqVector() []uint64 { return e.recv.AppliedVector() }
 
-// Metrics merges the receiver's replication counters into the store's
-// engine snapshot, so a follower's STATS verb and /metrics endpoint
-// report how much shipped and repaired data it has ingested.
-func (e *Engine) Metrics() metrics.Snapshot {
-	snap := e.Engine.Metrics()
+// Stats adds the receiver's replication counters to the store's view,
+// so a follower's STATS verb and /metrics endpoint report how much
+// shipped and repaired data it has ingested.
+func (e *Engine) Stats() core.Stats {
+	v := e.Engine.Stats()
 	st := e.recv.Stats()
-	snap.ReplBatchesApplied = int64(st.Batches)
-	snap.ReplGapsSignaled = int64(st.Gaps)
-	snap.ReplRepairOps = int64(st.RepairOps)
-	return snap
+	v.Counters.ReplBatchesApplied = int64(st.Batches)
+	v.Counters.ReplGapsSignaled = int64(st.Gaps)
+	v.Counters.ReplRepairOps = int64(st.RepairOps)
+	return v
 }

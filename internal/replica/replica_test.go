@@ -138,7 +138,7 @@ func TestReplicationStreamsWrites(t *testing.T) {
 		t.Fatalf("leader repl counters empty: subscribes=%d frames=%d acks=%d",
 			net.ReplSubscribes, net.ReplFramesShipped, net.ReplAcks)
 	}
-	feng := replica.NewEngine(fdb, recv).Metrics()
+	feng := replica.NewEngine(fdb, recv).Stats().Counters
 	if feng.ReplBatchesApplied == 0 {
 		t.Fatalf("follower repl counters empty: %+v", feng)
 	}

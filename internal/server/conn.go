@@ -280,12 +280,12 @@ func (c *conn) handle(op byte, payload []byte, batch *core.Batch) bool {
 	case wire.OpStats:
 		done := c.beginRequest(op)
 		verbose := len(payload) > 0 && payload[0] != 0
-		text := c.s.FormatStats(verbose)
+		text := c.s.Stats().Text(verbose)
 		done(nil)
 		return c.respond(wire.StatusOK, []byte(text))
 	case wire.OpWorkload:
 		done := c.beginRequest(op)
-		body, err := json.Marshal(c.s.db.WorkloadProfile())
+		body, err := json.Marshal(c.s.db.Stats().Workload)
 		done(err)
 		if err != nil {
 			return c.respondErr(wire.StatusInternal, err)
@@ -311,7 +311,7 @@ func (c *conn) handle(op byte, payload []byte, batch *core.Batch) bool {
 		return c.respond(wire.StatusOK, resp)
 	case wire.OpHealth:
 		done := c.beginRequest(op)
-		h := c.s.db.Health()
+		h := c.s.db.Stats().Health
 		resp := make([]byte, 1, 64)
 		if h.Degraded {
 			resp[0] = 1

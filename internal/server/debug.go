@@ -14,6 +14,7 @@ import (
 	"net/http/pprof"
 	"strings"
 
+	"lsmlab/internal/admission"
 	"lsmlab/internal/core"
 	"lsmlab/internal/events"
 	"lsmlab/internal/metrics"
@@ -60,209 +61,136 @@ func (s *Server) DebugHandler(ring *events.Ring, tr *trace.Tracer) http.Handler 
 }
 
 // promWriter accumulates Prometheus text exposition format. Every
-// series carries the lsmlab_ prefix; HELP/TYPE headers precede each
-// family so the output parses under promtool and scrapes cleanly.
+// series carries the lsmlab_ prefix, and every family is opened by
+// exactly one HELP/TYPE header before its samples, so the output
+// parses under promtool and scrapes cleanly.
 type promWriter struct{ b strings.Builder }
 
+// family opens a family; its samples follow.
+func (p *promWriter) family(name, help, typ string) {
+	fmt.Fprintf(&p.b, "# HELP lsmlab_%s %s\n# TYPE lsmlab_%s %s\n", name, help, name, typ)
+}
+
+// sample writes one series of the open family. labels is empty or a
+// rendered name="value" list; v is an int64 (printed exactly) or a
+// float64 (shortest form).
+func (p *promWriter) sample(name, labels string, v any) {
+	if labels != "" {
+		labels = "{" + labels + "}"
+	}
+	fmt.Fprintf(&p.b, "lsmlab_%s%s %v\n", name, labels, v)
+}
+
 func (p *promWriter) counter(name, help string, v int64) {
-	fmt.Fprintf(&p.b, "# HELP lsmlab_%s %s\n# TYPE lsmlab_%s counter\nlsmlab_%s %d\n",
-		name, help, name, name, v)
+	p.family(name, help, "counter")
+	p.sample(name, "", v)
 }
 
 func (p *promWriter) gauge(name, help string, v float64) {
-	fmt.Fprintf(&p.b, "# HELP lsmlab_%s %s\n# TYPE lsmlab_%s gauge\nlsmlab_%s %g\n",
-		name, help, name, name, v)
+	p.family(name, help, "gauge")
+	p.sample(name, "", v)
 }
 
-// gaugeVec opens a labeled gauge family; emit rows with sample.
-func (p *promWriter) gaugeVec(name, help string) {
-	fmt.Fprintf(&p.b, "# HELP lsmlab_%s %s\n# TYPE lsmlab_%s gauge\n", name, help, name)
-}
-
-// counterVec opens a labeled counter family; emit rows with csample.
-func (p *promWriter) counterVec(name, help string) {
-	fmt.Fprintf(&p.b, "# HELP lsmlab_%s %s\n# TYPE lsmlab_%s counter\n", name, help, name)
-}
-
-func (p *promWriter) csample(name, labels string, v int64) {
-	fmt.Fprintf(&p.b, "lsmlab_%s{%s} %d\n", name, labels, v)
-}
-
-func (p *promWriter) sample(name, labels string, v float64) {
-	fmt.Fprintf(&p.b, "lsmlab_%s{%s} %g\n", name, labels, v)
+// vec writes a labeled family with n series; row i is labeled
+// label="key" and valued by at(i).
+func (p *promWriter) vec(name, help, typ, label string, n int, at func(i int) (key string, v any)) {
+	p.family(name, help, typ)
+	for i := 0; i < n; i++ {
+		key, v := at(i)
+		p.sample(name, fmt.Sprintf("%s=%q", label, key), v)
+	}
 }
 
 // summary renders one latency histogram as a Prometheus summary:
 // quantile series plus _sum and _count.
 func (p *promWriter) summary(name, help string, h metrics.HistogramSnapshot) {
-	fmt.Fprintf(&p.b, "# HELP lsmlab_%s %s\n# TYPE lsmlab_%s summary\n", name, help, name)
+	p.family(name, help, "summary")
 	for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
-		fmt.Fprintf(&p.b, "lsmlab_%s{quantile=%q} %d\n", name, fmt.Sprintf("%g", q), h.Quantile(q))
+		p.sample(name, fmt.Sprintf("quantile=%q", fmt.Sprintf("%g", q)), h.Quantile(q))
 	}
-	fmt.Fprintf(&p.b, "lsmlab_%s_sum %d\nlsmlab_%s_count %d\n", name, h.Sum, name, h.N)
+	p.sample(name+"_sum", "", h.Sum)
+	p.sample(name+"_count", "", h.N)
 }
 
-// writeMetrics renders the full /metrics payload: engine counters from
-// the DB, network counters from the server, derived ratios, the
-// per-level tree shape, and the latency summaries.
+func boolGauge(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// writeMetrics renders the server's stats view as the /metrics payload:
+// the counter, derived-gauge and histogram tables of internal/metrics
+// (which own every such name and help string), then the labeled
+// families for the view's structured parts — tenants, tree levels,
+// shards, and the workload profile.
 func (s *Server) writeMetrics(w http.ResponseWriter) {
-	eng := s.db.Metrics() // engine counters
-	net := s.m.Snapshot() // serving-layer counters
+	v := s.Stats()
 	var p promWriter
-
-	// Write path.
-	p.counter("puts_total", "User put operations.", eng.Puts)
-	p.counter("deletes_total", "User delete operations.", eng.Deletes)
-	p.counter("bytes_ingested_total", "User key+value bytes accepted.", eng.BytesIngested)
-	p.counter("wal_bytes_total", "Bytes appended to the write-ahead log.", eng.WALBytes)
-	p.counter("commit_groups_total", "Commit groups written (one WAL write each).", eng.CommitGroups)
-	p.counter("commit_batches_total", "Batches committed across all groups.", eng.CommitBatches)
-	p.counter("wal_syncs_total", "WAL syncs issued.", eng.WALSyncs)
-	p.counter("wal_syncs_saved_total", "Syncs avoided by group coalescing.", eng.WALSyncsSaved)
-
-	// Read path.
-	p.counter("gets_total", "User point lookups.", eng.Gets)
-	p.counter("get_hits_total", "Lookups that found a live value.", eng.GetHits)
-	p.counter("scans_total", "User range scans.", eng.Scans)
-	p.counter("runs_probed_total", "Sorted runs consulted by point lookups.", eng.RunsProbed)
-	p.counter("filter_probes_total", "Bloom filter probes.", eng.FilterProbes)
-	p.counter("filter_negatives_total", "Filter probes that skipped a run.", eng.FilterNegatives)
-	p.counter("filter_false_positives_total", "Filter passes that found nothing.", eng.FilterFalsePos)
-	p.counter("block_reads_total", "Data-block fetches by sstable readers.", eng.BlockReads)
-	p.counter("block_reads_cached_total", "Block fetches served from the cache.", eng.BlockReadsCached)
-	p.counter("cache_hits_total", "Block cache hits.", eng.CacheHits)
-	p.counter("cache_misses_total", "Block cache misses.", eng.CacheMisses)
-
-	// Structure maintenance and stalls.
-	p.counter("flushes_total", "Memtable flushes.", eng.Flushes)
-	p.counter("flush_bytes_total", "Bytes written by flushes.", eng.FlushBytes)
-	p.counter("compactions_total", "Compaction jobs completed.", eng.Compactions)
-	p.counter("compaction_bytes_read_total", "Bytes read by compactions.", eng.CompactionBytesRead)
-	p.counter("compaction_bytes_written_total", "Bytes written by compactions.", eng.CompactionBytesWritten)
-	p.counter("tombstones_dropped_total", "Tombstones purged by compaction.", eng.TombstonesDropped)
-	p.counter("write_stalls_total", "Write stall events.", eng.WriteStalls)
-	p.counter("stall_ns_total", "Total time writers spent stalled, ns.", eng.StallNs)
-
-	// Robustness.
-	p.counter("bg_retries_total", "Failed background job attempts.", eng.BgRetries)
-	p.counter("scrubbed_tables_total", "Sstables checked by scrubs.", eng.ScrubbedTables)
-	p.counter("scrub_corruptions_total", "Corrupt files found by scrubs.", eng.ScrubCorruptions)
-	p.gauge("degraded", "1 once the engine is read-only degraded.", float64(eng.Degraded))
-
-	// Serving layer.
-	p.counter("conns_opened_total", "Connections accepted.", net.ConnsOpened)
-	p.counter("conns_closed_total", "Connections fully torn down.", net.ConnsClosed)
-	p.counter("conns_rejected_total", "Connections refused at the limit.", net.ConnsRejected)
-	p.counter("net_requests_total", "Request frames received.", net.NetRequests)
-	p.counter("net_request_errors_total", "Requests answered with an error status.", net.NetRequestErrors)
-	p.counter("net_throttled_total", "Requests answered with StatusThrottled (quota or backpressure).", net.NetThrottled)
-	p.counter("net_bytes_read_total", "Request frame bytes received.", net.NetBytesRead)
-	p.counter("net_bytes_written_total", "Response frame bytes sent.", net.NetBytesWritten)
-	p.gauge("conns_open", "Connections currently being served.", float64(net.ConnsOpened-net.ConnsClosed))
-	p.counter("stall_aborts_total", "Writes aborted by the stall timeout (backpressure).", eng.StallAborts)
+	for _, d := range metrics.Counters {
+		switch {
+		case d.Name == "":
+		case d.Kind == metrics.Flag:
+			p.gauge(d.Name, d.Help, float64(d.Value(&v.Counters)))
+		default:
+			p.counter(d.Name, d.Help, d.Value(&v.Counters))
+		}
+	}
+	for _, d := range metrics.Derived {
+		p.gauge(d.Name, d.Help, d.Value(v.Counters))
+	}
+	p.gauge("space_amplification", "Disk bytes per unique live byte.", v.SpaceAmp)
 
 	// Multi-tenancy: one row per tenant seen, labeled by namespace (the
 	// default tenant — separator-free keys — is labeled "").
-	if ts := s.opts.Admission.Stats(); len(ts) > 0 {
-		p.counterVec("tenant_requests_total", "Admitted requests per tenant.")
-		for _, t := range ts {
-			p.csample("tenant_requests_total", fmt.Sprintf("tenant=%q", t.Tenant), t.Requests)
+	if ts := v.Server.Tenants; len(ts) > 0 {
+		tenant := func(name, help, typ string, at func(admission.TenantStats) any) {
+			p.vec(name, help, typ, "tenant", len(ts), func(i int) (string, any) { return ts[i].Tenant, at(ts[i]) })
 		}
-		p.counterVec("tenant_throttled_total", "Requests throttled (quota-rejected or backpressure-shed) per tenant.")
-		for _, t := range ts {
-			p.csample("tenant_throttled_total", fmt.Sprintf("tenant=%q", t.Tenant), t.Throttled)
-		}
-		p.counterVec("tenant_bytes_in_total", "Write payload bytes admitted per tenant.")
-		for _, t := range ts {
-			p.csample("tenant_bytes_in_total", fmt.Sprintf("tenant=%q", t.Tenant), t.BytesIn)
-		}
-		p.counterVec("tenant_bytes_out_total", "Response bytes charged per tenant.")
-		for _, t := range ts {
-			p.csample("tenant_bytes_out_total", fmt.Sprintf("tenant=%q", t.Tenant), t.BytesOut)
-		}
-		p.gaugeVec("tenant_throttling", "1 while the tenant is inside a throttle episode.")
-		for _, t := range ts {
-			v := 0.0
-			if t.Throttling {
-				v = 1
-			}
-			p.sample("tenant_throttling", fmt.Sprintf("tenant=%q", t.Tenant), v)
-		}
+		tenant("tenant_requests_total", "Admitted requests per tenant.", "counter", func(t admission.TenantStats) any { return t.Requests })
+		tenant("tenant_throttled_total", "Requests throttled (quota-rejected or backpressure-shed) per tenant.", "counter", func(t admission.TenantStats) any { return t.Throttled })
+		tenant("tenant_bytes_in_total", "Write payload bytes admitted per tenant.", "counter", func(t admission.TenantStats) any { return t.BytesIn })
+		tenant("tenant_bytes_out_total", "Response bytes charged per tenant.", "counter", func(t admission.TenantStats) any { return t.BytesOut })
+		tenant("tenant_throttling", "1 while the tenant is inside a throttle episode.", "gauge", func(t admission.TenantStats) any { return boolGauge(t.Throttling) })
 	}
-
-	// Replication: leader counters live on the server, follower counters
-	// arrive merged into the engine snapshot by the replica wrapper.
-	p.counter("repl_subscribes_total", "Follower stream subscriptions accepted.", net.ReplSubscribes)
-	p.counter("repl_frames_shipped_total", "WAL group frames streamed to followers.", net.ReplFramesShipped)
-	p.counter("repl_gaps_total", "Gap frames sent (leader) or stream gaps observed (follower).",
-		net.ReplGapsSignaled+eng.ReplGapsSignaled)
-	p.counter("repl_acks_total", "Follower watermark acks recorded.", net.ReplAcks)
-	p.counter("repl_repair_pages_total", "Merkle repair pages served.", net.ReplRepairPages)
-	p.counter("repl_batches_applied_total", "Shipped WAL batches applied by this follower.", eng.ReplBatchesApplied)
-	p.counter("repl_repair_ops_total", "Ops ingested via anti-entropy repair.", eng.ReplRepairOps)
-
-	// Derived ratios (the paper's headline figures).
-	p.gauge("write_amplification", "Storage bytes written per user byte ingested.", eng.WriteAmplification())
-	p.gauge("read_amplification", "Average sorted runs probed per point lookup.", eng.ReadAmplification())
-	p.gauge("filter_effectiveness", "Fraction of filter probes that skipped a run.", eng.FilterEffectiveness())
-	p.gauge("cache_hit_rate", "Fraction of block-cache lookups that hit.", eng.CacheHitRate())
-	p.gauge("avg_commit_group_size", "Mean batches coalesced per commit group.", eng.AvgCommitGroupSize())
-	p.gauge("space_amplification", "Disk bytes per unique live byte.", s.db.SpaceAmplification())
 
 	// Tree shape, one row per level.
-	ts := s.db.TreeStats()
+	ts := v.Tree
 	p.gauge("memtable_entries", "Live memtable entries.", float64(ts.MemtableLen))
 	p.gauge("immutable_memtables", "Immutable memtables awaiting flush.", float64(ts.Immutables))
-	p.gaugeVec("level_runs", "Sorted runs per level.")
-	for _, l := range ts.Levels {
-		p.sample("level_runs", fmt.Sprintf("level=%q", fmt.Sprint(l.Level)), float64(l.Runs))
+	level := func(name, help string, at func(core.LevelStats) float64) {
+		p.vec(name, help, "gauge", "level", len(ts.Levels), func(i int) (string, any) { return fmt.Sprint(ts.Levels[i].Level), at(ts.Levels[i]) })
 	}
-	p.gaugeVec("level_files", "Files per level.")
-	for _, l := range ts.Levels {
-		p.sample("level_files", fmt.Sprintf("level=%q", fmt.Sprint(l.Level)), float64(l.Files))
-	}
-	p.gaugeVec("level_bytes", "Bytes per level.")
-	for _, l := range ts.Levels {
-		p.sample("level_bytes", fmt.Sprintf("level=%q", fmt.Sprint(l.Level)), float64(l.Bytes))
-	}
+	level("level_runs", "Sorted runs per level.", func(l core.LevelStats) float64 { return float64(l.Runs) })
+	level("level_files", "Files per level.", func(l core.LevelStats) float64 { return float64(l.Files) })
+	level("level_bytes", "Bytes per level.", func(l core.LevelStats) float64 { return float64(l.Bytes) })
 	p.gauge("total_bytes", "Total bytes across all levels.", float64(ts.TotalBytes))
 
-	// Per-shard breakdown, when the engine is the partitioned store:
-	// the figures an operator needs to spot hot-shard skew.
-	if se, ok := s.db.(interface{ ShardTreeStats() []core.TreeStats }); ok {
-		shards := se.ShardTreeStats()
-		p.gauge("shards", "Shard count of the partitioned store.", float64(len(shards)))
-		p.gaugeVec("shard_memtable_bytes", "Memtable footprint per shard.")
-		for i, st := range shards {
-			p.sample("shard_memtable_bytes", fmt.Sprintf("shard=%q", fmt.Sprint(i)), float64(st.MemtableBytes))
+	// Per-shard breakdown of a partitioned store: the figures an
+	// operator needs to spot hot-shard skew.
+	if len(v.Shards) > 0 {
+		p.gauge("shards", "Shard count of the partitioned store.", float64(len(v.Shards)))
+		shard := func(name, help string, at func(core.TreeStats) uint64) {
+			p.vec(name, help, "gauge", "shard", len(v.Shards), func(i int) (string, any) { return fmt.Sprint(i), float64(at(v.Shards[i].Tree)) })
 		}
-		p.gaugeVec("shard_l0_runs", "Level-0 sorted runs per shard.")
-		for i, st := range shards {
-			p.sample("shard_l0_runs", fmt.Sprintf("shard=%q", fmt.Sprint(i)), float64(st.L0Runs))
-		}
-		p.gaugeVec("shard_backlog_bytes", "Compaction debt per shard.")
-		for i, st := range shards {
-			p.sample("shard_backlog_bytes", fmt.Sprintf("shard=%q", fmt.Sprint(i)), float64(st.BacklogBytes))
-		}
-		p.gaugeVec("shard_total_bytes", "Bytes across all levels per shard.")
-		for i, st := range shards {
-			p.sample("shard_total_bytes", fmt.Sprintf("shard=%q", fmt.Sprint(i)), float64(st.TotalBytes))
-		}
+		shard("shard_memtable_bytes", "Memtable footprint per shard.", func(t core.TreeStats) uint64 { return t.MemtableBytes })
+		shard("shard_l0_runs", "Level-0 sorted runs per shard.", func(t core.TreeStats) uint64 { return uint64(t.L0Runs) })
+		shard("shard_backlog_bytes", "Compaction debt per shard.", func(t core.TreeStats) uint64 { return t.BacklogBytes })
+		shard("shard_total_bytes", "Bytes across all levels per shard.", func(t core.TreeStats) uint64 { return t.TotalBytes })
 	}
 
 	// Live workload characterization and per-level RUM attribution from
 	// the engine profiler. Windowed figures decay with the profile
 	// half-life, so they are gauges, not counters.
-	if wp := s.db.WorkloadProfile(); wp.Enabled {
+	if wp := v.Workload; wp.Enabled {
 		p.gauge("workload_window_ops", "Sampling-weighted operations in the profile window.", float64(wp.WindowOps))
 		p.gauge("workload_rotations", "Profile half-lives elapsed since open.", float64(wp.Rotations))
-		p.gaugeVec("workload_ops", "Operations in the profile window by kind.")
-		for _, kv := range []struct {
+		ops := []struct {
 			op string
 			v  int64
-		}{{"get", wp.Gets}, {"put", wp.Puts}, {"delete", wp.Deletes}, {"scan", wp.Scans}} {
-			p.sample("workload_ops", fmt.Sprintf("op=%q", kv.op), float64(kv.v))
-		}
+		}{{"get", wp.Gets}, {"put", wp.Puts}, {"delete", wp.Deletes}, {"scan", wp.Scans}}
+		p.vec("workload_ops", "Operations in the profile window by kind.", "gauge", "op", len(ops),
+			func(i int) (string, any) { return ops[i].op, float64(ops[i].v) })
 		p.gauge("workload_mean_scan_len", "Mean entries returned per range scan in the window.", wp.MeanScanLen)
 		p.gauge("workload_distinct_keys", "Estimated distinct keys touched in the window.", float64(wp.DistinctKeys))
 		p.gauge("workload_zipf_s", "Fitted zipf exponent of the window's key popularity (0 = uniform).", wp.ZipfS)
@@ -271,50 +199,32 @@ func (s *Server) writeMetrics(w http.ResponseWriter) {
 		p.gauge("workload_write_amp", "Measured storage-write bytes per ingested byte over the window.", wp.WriteAmp)
 		p.gauge("workload_space_amp", "Measured tree bytes per deepest-level byte.", wp.SpaceAmp)
 		if len(wp.Tenants) > 0 {
-			p.gaugeVec("workload_tenant_ops", "Sampled operations per tenant in the profile window.")
-			for _, tw := range wp.Tenants {
-				p.sample("workload_tenant_ops", fmt.Sprintf("tenant=%q", tw.Tenant), float64(tw.Ops))
+			p.vec("workload_tenant_ops", "Sampled operations per tenant in the profile window.", "gauge", "tenant", len(wp.Tenants),
+				func(i int) (string, any) { return wp.Tenants[i].Tenant, float64(wp.Tenants[i].Ops) })
+		}
+		window := func(name, help string, at func(core.LevelProfile) float64) {
+			p.vec(name, help, "gauge", "level", len(wp.Levels), func(i int) (string, any) { return fmt.Sprint(wp.Levels[i].Level), at(wp.Levels[i]) })
+		}
+		window("level_runs_probed_window", "Runs consulted by lookups per level over the window.", func(l core.LevelProfile) float64 { return float64(l.RunsProbed) })
+		window("level_read_amp", "Per-level contribution to read amplification over the window.", func(l core.LevelProfile) float64 { return l.ReadAmp })
+		window("level_bytes_read_window", "Uncached data-block bytes read per level over the window.", func(l core.LevelProfile) float64 { return float64(l.BytesRead) })
+		p.family("level_bytes_written_window", "Bytes written into each level over the window, by trigger.", "gauge")
+		for _, lp := range wp.Levels {
+			for reason, b := range lp.WriteByReason {
+				p.sample("level_bytes_written_window", fmt.Sprintf("level=%q,reason=%q", fmt.Sprint(lp.Level), reason), float64(b))
 			}
 		}
-		p.gaugeVec("level_runs_probed_window", "Runs consulted by lookups per level over the window.")
-		for _, lp := range wp.Levels {
-			p.sample("level_runs_probed_window", fmt.Sprintf("level=%q", fmt.Sprint(lp.Level)), float64(lp.RunsProbed))
-		}
-		p.gaugeVec("level_read_amp", "Per-level contribution to read amplification over the window.")
-		for _, lp := range wp.Levels {
-			p.sample("level_read_amp", fmt.Sprintf("level=%q", fmt.Sprint(lp.Level)), lp.ReadAmp)
-		}
-		p.gaugeVec("level_bytes_read_window", "Uncached data-block bytes read per level over the window.")
-		for _, lp := range wp.Levels {
-			p.sample("level_bytes_read_window", fmt.Sprintf("level=%q", fmt.Sprint(lp.Level)), float64(lp.BytesRead))
-		}
-		p.gaugeVec("level_bytes_written_window", "Bytes written into each level over the window, by trigger.")
-		for _, lp := range wp.Levels {
-			for reason, v := range lp.WriteByReason {
-				p.sample("level_bytes_written_window",
-					fmt.Sprintf("level=%q,reason=%q", fmt.Sprint(lp.Level), reason), float64(v))
-			}
-		}
-		p.gaugeVec("level_compaction_bytes_in_window", "Bytes read as compaction input per level over the window.")
-		for _, lp := range wp.Levels {
-			p.sample("level_compaction_bytes_in_window", fmt.Sprintf("level=%q", fmt.Sprint(lp.Level)), float64(lp.CompactionBytesIn))
-		}
+		window("level_compaction_bytes_in_window", "Bytes read as compaction input per level over the window.", func(l core.LevelProfile) float64 { return float64(l.CompactionBytesIn) })
 	}
 
-	// Latency summaries (engine histograms + the server's request
-	// histogram merged, same as the STATS verb).
-	lat := s.Latencies()
-	p.summary("get_latency_ns", "DB.Get end-to-end latency, ns.", lat.Get)
-	p.summary("put_latency_ns", "DB.Apply latency, ns.", lat.Put)
-	p.summary("scan_next_latency_ns", "Iterator.Next latency, ns.", lat.ScanNext)
-	p.summary("flush_latency_ns", "Memtable flush duration, ns.", lat.Flush)
-	p.summary("compaction_latency_ns", "Compaction job duration, ns.", lat.Compaction)
-	p.summary("request_latency_ns", "Network request latency, ns.", lat.Request)
-
-	// Tracer throughput, when one is attached.
-	if tr := s.db.Tracer(); tr != nil {
-		p.counter("trace_spans_started_total", "Spans begun by the tracer.", int64(tr.Started()))
-		p.counter("trace_spans_retained_total", "Spans retained into the ring.", int64(tr.Retained()))
+	for _, d := range metrics.Histograms {
+		if d.Name != "" {
+			p.summary(d.Name, d.Help, d.Value(&v.Latency))
+		}
+	}
+	if v.Server.Traced {
+		p.counter("trace_spans_started_total", "Spans begun by the tracer.", int64(v.Server.SpansStarted))
+		p.counter("trace_spans_retained_total", "Spans retained into the ring.", int64(v.Server.SpansRetained))
 	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -325,27 +235,19 @@ func (s *Server) writeMetrics(w http.ResponseWriter) {
 // payload the WORKLOAD wire verb returns, curl-able on the debug port.
 func (s *Server) writeWorkload(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(s.db.WorkloadProfile())
+	json.NewEncoder(w).Encode(s.db.Stats().Workload)
 }
 
 // writeHealth serves the engine health as JSON: HTTP 200 while
 // healthy, 503 once degraded, so it plugs into load-balancer and
 // orchestrator probes unchanged.
 func (s *Server) writeHealth(w http.ResponseWriter) {
-	h := s.db.Health()
+	h := s.db.Stats().Health
 	w.Header().Set("Content-Type", "application/json")
 	if h.Degraded {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
-	json.NewEncoder(w).Encode(struct {
-		Degraded bool   `json:"degraded"`
-		Op       string `json:"op,omitempty"`
-		Kind     string `json:"kind,omitempty"`
-		Cause    string `json:"cause,omitempty"`
-		SinceNs  int64  `json:"since_ns,omitempty"`
-		BgErr    string `json:"bg_err,omitempty"`
-		BgErrOp  string `json:"bg_err_op,omitempty"`
-	}{h.Degraded, h.Op, h.Kind, h.Cause, h.SinceNs, h.BgErr, h.BgErrOp})
+	json.NewEncoder(w).Encode(h)
 }
 
 // eventJSON is the wire shape of one ring event: the typed fields a

@@ -39,8 +39,8 @@ import (
 // ErrShutdown is returned by Serve when the server was drained.
 var ErrShutdown = errors.New("server: shutting down")
 
-// Engine is the store surface the server serves: everything the wire
-// verbs and the debug plane need, satisfied by both a single tree
+// Engine is the store surface the server serves: the data verbs, one
+// monitoring view, and the watermark — satisfied by both a single tree
 // (*core.DB) and the sharded store (*partition.Store). The serving
 // layer is engine-form agnostic — lsmserved -shards N swaps the
 // implementation without touching a handler.
@@ -49,17 +49,12 @@ type Engine interface {
 	ApplyTraced(b *core.Batch, traceID uint64) error
 	NewRangeIter(lower, upper []byte) (core.RangeIter, error)
 	Compact() error
-	Health() core.Health
 	Tracer() *trace.Tracer
-	Metrics() metrics.Snapshot
-	Latencies() metrics.LatencySnapshot
-	TreeStats() core.TreeStats
-	SpaceAmplification() float64
-	FormatStats(verbose bool) string
-	// WorkloadProfile is the engine's live workload characterization
-	// and per-level RUM attribution (aggregated across shards for a
-	// partitioned store) — the WORKLOAD verb's and /workload's payload.
-	WorkloadProfile() core.WorkloadProfile
+	// Stats is the store's monitoring view (merged across shards for a
+	// partitioned store): counters, histograms, health, tree shape and
+	// workload profile. Every read-only surface — STATS, HEALTH,
+	// WORKLOAD, /metrics, /healthz, /workload — is a projection of it.
+	Stats() core.Stats
 	// SeqVector is the store's visibility watermark as a per-shard
 	// vector (length 1 for a single tree) — the WATERMARK verb's
 	// payload, generalizing the read-your-writes token across shards.
@@ -314,47 +309,21 @@ func (s *Server) ConnCount() int {
 // engine's counters live on the DB).
 func (s *Server) Metrics() metrics.Snapshot { return s.m.Snapshot() }
 
-// Latencies returns the engine's latency histograms with the server's
-// request histogram merged in, extending the DB's Latencies plumbing
-// across the wire boundary.
-func (s *Server) Latencies() metrics.LatencySnapshot {
-	lat := s.db.Latencies()
-	lat.Request = lat.Request.Merge(s.m.RequestNs.Snapshot())
-	return lat
-}
-
-// FormatStats renders the engine's stats block with the serving
-// layer's counters (and, verbosely, request latency) appended — the
-// payload of the STATS admin verb.
-func (s *Server) FormatStats(verbose bool) string {
-	out := s.db.FormatStats(verbose)
-	m := s.m.Snapshot()
-	out += fmt.Sprintf("\nserver: conns_open=%d opened=%d rejected=%d requests=%d errors=%d throttled=%d net_read=%dB net_written=%dB",
-		m.ConnsOpened-m.ConnsClosed, m.ConnsOpened, m.ConnsRejected,
-		m.NetRequests, m.NetRequestErrors, m.NetThrottled, m.NetBytesRead, m.NetBytesWritten)
-	// One row per tenant seen, so lsmctl top and the STATS verb show the
-	// multi-tenant picture without a scraper.
-	for _, t := range s.opts.Admission.Stats() {
-		name := t.Tenant
-		if name == admission.DefaultTenant {
-			name = "(default)"
-		}
-		out += fmt.Sprintf("\ntenant %s: requests=%d throttled=%d in=%dB out=%dB throttling=%v",
-			name, t.Requests, t.Throttled, t.BytesIn, t.BytesOut, t.Throttling)
+// Stats returns the engine's view with the serving layer's section
+// added: its counters and request histogram merge into the engine's by
+// the descriptor tables' rules (an embedded engine leaves the network
+// and leader-side replication rows zero, so summing is exact), and
+// Server carries the rows only a server has.
+func (s *Server) Stats() core.Stats {
+	v := s.db.Stats()
+	v.Counters = v.Counters.Add(s.m.Snapshot())
+	v.Latency = v.Latency.Merge(s.m.Latencies())
+	sv := &core.ServerStats{Tenants: s.opts.Admission.Stats(), Leader: s.opts.Repl != nil}
+	if tr := s.db.Tracer(); tr != nil {
+		sv.Traced, sv.SpansStarted, sv.SpansRetained = true, tr.Started(), tr.Retained()
 	}
-	// The repl line appears only on nodes that replicate: leaders show
-	// shipping counters, followers show apply counters (merged into the
-	// engine snapshot by the replica engine wrapper).
-	eng := s.db.Metrics()
-	if s.opts.Repl != nil || eng.ReplBatchesApplied+eng.ReplRepairOps+eng.ReplGapsSignaled > 0 {
-		out += fmt.Sprintf("\nrepl: subscribes=%d frames_shipped=%d gaps=%d acks=%d repair_pages=%d batches_applied=%d repair_ops=%d",
-			m.ReplSubscribes, m.ReplFramesShipped, m.ReplGapsSignaled+eng.ReplGapsSignaled,
-			m.ReplAcks, m.ReplRepairPages, eng.ReplBatchesApplied, eng.ReplRepairOps)
-	}
-	if verbose {
-		out += fmt.Sprintf("\n  request    %s", s.m.RequestNs.Snapshot())
-	}
-	return out
+	v.Server = sv
+	return v
 }
 
 // Shutdown gracefully drains the server: stop accepting, let every

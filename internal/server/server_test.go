@@ -145,7 +145,7 @@ func TestServerRoundTrip(t *testing.T) {
 	if m.NetRequests == 0 || m.NetBytesRead == 0 || m.NetBytesWritten == 0 {
 		t.Fatalf("request accounting: %+v", m)
 	}
-	if srv.Latencies().Request.N == 0 {
+	if srv.Stats().Latency.Request.N == 0 {
 		t.Fatal("request latency histogram is empty")
 	}
 }
