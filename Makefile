@@ -88,9 +88,11 @@ torture:
 torture-repl:
 	TORTURE_REPL_ITERS=50 $(GO) test ./internal/replica -race -run TestReplicationTortureConvergence -count=1 -v
 
-# Short fuzz run over the wire-protocol codec (CI runs 30s).
+# Short fuzz runs over the decoders of outside bytes: the wire-protocol
+# codec (CI runs 30s) and the store descriptor (16 bytes; 10s).
 fuzz-wire:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 30s
+	$(GO) test ./internal/partition -run '^$$' -fuzz FuzzDecodeDescriptor -fuzztime 10s
 
 # Coverage over the engine packages: per-package summary (the `ok`
 # lines), then a blocking floor on the combined total. CI fails the

@@ -56,7 +56,7 @@ func main() {
 		ops       = flag.Int("ops", 100000, "total operations for writers/net/read modes")
 		valueSize = flag.Int("value", 100, "value size in bytes")
 		batchSize = flag.Int("batch", 1, "puts per Apply batch for -writers mode")
-		shards    = flag.Int("shards", 0, "run -writers against a sharded store with this many hash-routed shards (0 = flat single tree)")
+		shards    = flag.Int("shards", 1, "run -writers against a store with this many hash-routed shards (1 = the flat single tree)")
 		syncWAL   = flag.Bool("sync", false, "fsync the WAL on every commit")
 		syncDelay = flag.Duration("syncdelay", 0, "modeled fsync latency on the in-memory fs (e.g. 100us)")
 		dir       = flag.String("dir", "", "OS directory (default: in-memory fs; real fsync latency needs a real disk)")
@@ -332,7 +332,7 @@ type writersConfig struct {
 	syncDelay time.Duration
 	dir       string
 
-	shards       int   // >0 opens a partition.Store with this many shards
+	shards       int   // shard count of the store (0 and 1 = the flat single tree)
 	bufferBytes  int   // 0 = engine default
 	sizeRatio    int   // 0 = engine default
 	leveled      bool  // force compaction.Leveling{}
@@ -349,13 +349,19 @@ func runWriters(cfg writersConfig, jsonPath string) error {
 	return res.writeJSON(jsonPath)
 }
 
-// writeEngine is what the write benchmark needs from a store — the
-// commit path and the monitoring view; both a flat *core.DB and a
-// sharded *partition.Store satisfy it.
-type writeEngine interface {
-	Apply(b *core.Batch) error
-	Stats() core.Stats
-	Close() error
+// benchOptions places a bench store: in dir on the OS filesystem when
+// given (real fsync latency), else in memory with syncs that take
+// syncDelay.
+func benchOptions(dir string, syncWAL bool, syncDelay time.Duration) core.Options {
+	var fs vfs.FS = vfs.NewOS()
+	if dir == "" {
+		mem := vfs.NewMem()
+		mem.SetSyncDelay(syncDelay)
+		fs, dir = mem, "bench-db"
+	}
+	opts := core.DefaultOptions(fs, dir)
+	opts.SyncWAL = syncWAL
+	return opts
 }
 
 // writersBench drives cfg.writers goroutines over disjoint key ranges
@@ -363,24 +369,13 @@ type writeEngine interface {
 // pipeline's coalescing statistics. The default in-memory filesystem
 // keeps the numbers about the engine; pass dir to pay real fsync
 // latency, which is where group commit coalesces hardest. With
-// cfg.shards > 0 the store is a hash-routed partition.Store, so each
-// batch is split and committed through per-shard pipelines.
+// cfg.shards > 1 each batch is split and committed through per-shard
+// pipelines.
 func writersBench(cfg writersConfig, w io.Writer) (benchResult, error) {
 	if cfg.batchSize < 1 {
 		cfg.batchSize = 1
 	}
-	var fs vfs.FS
-	dbDir := "bench-db"
-	if cfg.dir != "" {
-		fs = vfs.NewOS()
-		dbDir = cfg.dir
-	} else {
-		mem := vfs.NewMem()
-		mem.SetSyncDelay(cfg.syncDelay)
-		fs = mem
-	}
-	opts := core.DefaultOptions(fs, dbDir)
-	opts.SyncWAL = cfg.syncWAL
+	opts := benchOptions(cfg.dir, cfg.syncWAL, cfg.syncDelay)
 	opts.RecordLatencies = true
 	if cfg.bufferBytes > 0 {
 		opts.BufferBytes = cfg.bufferBytes
@@ -394,13 +389,7 @@ func writersBench(cfg writersConfig, w io.Writer) (benchResult, error) {
 	if cfg.compactionBW > 0 {
 		opts.CompactionBandwidthBytesPerSec = cfg.compactionBW
 	}
-	var db writeEngine
-	var err error
-	if cfg.shards > 0 {
-		db, err = partition.Open(opts, cfg.shards)
-	} else {
-		db, err = core.Open(opts)
-	}
+	db, err := partition.Open(opts, cfg.shards)
 	if err != nil {
 		return benchResult{}, err
 	}
@@ -477,24 +466,12 @@ func runNet(addr, replicas string, conns, ops, valueSize, depth int, syncWAL boo
 		depth = 1
 	}
 
-	var db *core.DB
+	var db *partition.Store
 	if addr == "" {
 		// -serve: host the bench store in-process, same defaults as
 		// -writers mode.
-		var fs vfs.FS
-		dbDir := "bench-db"
-		if dir != "" {
-			fs = vfs.NewOS()
-			dbDir = dir
-		} else {
-			mem := vfs.NewMem()
-			mem.SetSyncDelay(syncDelay)
-			fs = mem
-		}
-		opts := core.DefaultOptions(fs, dbDir)
-		opts.SyncWAL = syncWAL
 		var err error
-		db, err = core.Open(opts)
+		db, err = partition.Open(benchOptions(dir, syncWAL, syncDelay), 0)
 		if err != nil {
 			return err
 		}
@@ -599,7 +576,7 @@ func runNet(addr, replicas string, conns, ops, valueSize, depth int, syncWAL boo
 		fmt.Printf("commit_groups=%d batches=%d avg_group=%.2f wal_syncs=%d syncs_saved=%d\n",
 			m.CommitGroups, m.CommitBatches, m.AvgCommitGroupSize(),
 			m.WALSyncs, m.WALSyncsSaved)
-		if gs := db.Latencies().GroupSize; gs.N > 0 {
+		if gs := db.Stats().Latency.GroupSize; gs.N > 0 {
 			fmt.Printf("group size: n=%d mean=%.2f max=%d\n", gs.N, gs.Mean(), gs.Max)
 		}
 	}
@@ -646,23 +623,11 @@ func runNetTenants(addr string, tenants int, quotaSpec string, ops, valueSize in
 		return fmt.Errorf("-quota must set ops=N for the -tenants bench")
 	}
 
-	var db *core.DB
+	var db *partition.Store
 	if addr == "" {
 		// -serve: host the bench store in-process with the quota applied
 		// as the per-tenant default, so every tenant gets its own bucket.
-		var fs vfs.FS
-		dbDir := "bench-db"
-		if dir != "" {
-			fs = vfs.NewOS()
-			dbDir = dir
-		} else {
-			mem := vfs.NewMem()
-			mem.SetSyncDelay(syncDelay)
-			fs = mem
-		}
-		opts := core.DefaultOptions(fs, dbDir)
-		opts.SyncWAL = syncWAL
-		db, err = core.Open(opts)
+		db, err = partition.Open(benchOptions(dir, syncWAL, syncDelay), 0)
 		if err != nil {
 			return err
 		}

@@ -11,7 +11,7 @@ import (
 
 	"lsmlab/internal/core"
 	"lsmlab/internal/metrics"
-	"lsmlab/internal/vfs"
+	"lsmlab/internal/partition"
 	"lsmlab/internal/workload"
 )
 
@@ -85,20 +85,11 @@ func readBench(cfg readConfig, w io.Writer) (benchResult, error) {
 		cfg.scanLen = 16
 	}
 
-	var fs vfs.FS
-	dbDir := "bench-db"
-	if cfg.dir != "" {
-		fs = vfs.NewOS()
-		dbDir = cfg.dir
-	} else {
-		fs = vfs.NewMem()
-	}
-	opts := core.DefaultOptions(fs, dbDir)
-	opts.SyncWAL = cfg.syncWAL
+	opts := benchOptions(cfg.dir, cfg.syncWAL, 0)
 	opts.RecordLatencies = true
 	opts.FilterMode = core.FilterUniform
 	opts.BitsPerKey = cfg.bits
-	db, err := core.Open(opts)
+	db, err := partition.Open(opts, 0)
 	if err != nil {
 		return benchResult{}, err
 	}

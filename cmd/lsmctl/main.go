@@ -50,33 +50,6 @@ import (
 	"lsmlab/internal/workload"
 )
 
-// store is the command surface shared by a flat tree (*core.DB) and a
-// sharded one (*partition.Store); lsmctl picks the form the directory
-// layout implies, so operating on a sharded store needs no flag.
-type store interface {
-	Put(key, value []byte) error
-	Get(key []byte) ([]byte, error)
-	Delete(key []byte) error
-	Scan(start, end []byte, limit int) ([]core.KV, error)
-	Stats() core.Stats
-	Compact() error
-	Scrub() (core.ScrubReport, error)
-	Checkpoint(dir string) error
-	Flush() error
-	WaitIdle()
-	SetShape(layout compaction.Layout, sizeRatio int) error
-	Shape() (string, int)
-	Close() error
-}
-
-// openStore opens the directory in whatever form its layout implies.
-func openStore(opts core.Options) (store, error) {
-	if n, err := partition.DeriveShards(opts.FS, opts.Path); err == nil && n > 0 {
-		return partition.Open(opts, n)
-	}
-	return core.Open(opts)
-}
-
 func main() {
 	dbPath := flag.String("db", "", "database directory (opens the store locally)")
 	addr := flag.String("addr", "", "lsmserved address (runs commands over the wire instead)")
@@ -110,7 +83,8 @@ func main() {
 	if *sizeRatio > 1 {
 		opts.SizeRatio = *sizeRatio
 	}
-	db, err := openStore(opts)
+	// Whatever the directory holds: a flat tree or a sharded store.
+	db, err := partition.Open(opts, 0)
 	if err != nil {
 		fatal(err)
 	}
@@ -189,25 +163,21 @@ func main() {
 		}
 		fmt.Println(db.Stats().Tree)
 	case "scrub":
-		// A sharded store reports one row per shard, then the total.
-		if ps, ok := db.(*partition.Store); ok {
-			reps, err := ps.ScrubShards()
-			if err != nil {
-				fatal(err)
-			}
-			for i, rep := range reps {
-				fmt.Printf("shard %03d %s\n", i, rep)
-			}
-			// Merge the reports we have: scrubbing again would miss the
-			// tables the pass above already quarantined.
-			fmt.Printf("total %s\n", partition.MergeScrubReports(reps))
-			return
-		}
-		rep, err := db.Scrub()
+		reps, err := db.ScrubShards()
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Println(rep)
+		// A sharded store reports one row per shard, then the total —
+		// merged from the reports in hand: scrubbing again would miss
+		// the tables this pass already quarantined.
+		total := ""
+		if len(reps) > 1 {
+			for i, rep := range reps {
+				fmt.Printf("shard %03d %s\n", i, rep)
+			}
+			total = "total "
+		}
+		fmt.Printf("%s%s\n", total, partition.MergeScrubReports(reps))
 	case "health":
 		h := db.Stats().Health
 		printHealth(h.Degraded, h.Op, h.Kind, h.Cause)

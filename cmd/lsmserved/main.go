@@ -36,38 +36,6 @@ import (
 	"lsmlab/internal/vfs"
 )
 
-// engine is what serving needs beyond server.Engine: the shutdown path
-// checkpoints and closes the store. Both *core.DB and *partition.Store
-// satisfy it.
-type engine interface {
-	server.Engine
-	Checkpoint(dir string) error
-	Close() error
-}
-
-// openEngine opens the store in the form the -shards flag and the
-// directory layout agree on. Auto (0) reopens whatever is there — a
-// sharded layout with its own count, anything else as a flat tree — so
-// a restart never needs the original flag. An explicit count refuses a
-// mismatched layout rather than misrouting keys.
-func openEngine(opts core.Options, shards int) (engine, error) {
-	derived, derr := partition.DeriveShards(opts.FS, opts.Path)
-	switch {
-	case shards == 0:
-		if derr == nil && derived > 0 {
-			return partition.Open(opts, derived)
-		}
-		return core.Open(opts) // fresh or flat layout
-	case shards == 1:
-		if derived > 0 {
-			return nil, fmt.Errorf("%w: requested 1, directory %s has %d", partition.ErrShardMismatch, opts.Path, derived)
-		}
-		return core.Open(opts)
-	default:
-		return partition.Open(opts, shards)
-	}
-}
-
 func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
@@ -83,7 +51,7 @@ func run(args []string, sig <-chan os.Signal, out io.Writer) error {
 	fs := flag.NewFlagSet("lsmserved", flag.ContinueOnError)
 	var (
 		dbPath        = fs.String("db", "", "database directory (required)")
-		shards        = fs.Int("shards", 0, "shard count: N>1 serves N hash-routed LSM shards, 1 forces a flat single tree, 0 derives from the existing directory layout (flat when fresh)")
+		shards        = fs.Int("shards", 0, "shard count: 0 opens whatever -db holds (a fresh directory becomes one flat tree), N>1 creates or requires N hash-routed LSM shards, 1 requires the flat single tree; a count that disagrees with the directory is refused")
 		follow        = fs.String("follow", "", "run as a read replica of the leader at this address: the store opens read-only, streams the leader's WAL, and converges through Merkle anti-entropy")
 		followID      = fs.String("follow-id", "", "stable follower identity reported to the leader (default: the -db path)")
 		followSession = fs.Duration("follow-session", 0, "replication session length: periodic anti-entropy (silent bit-rot detection and repair) runs at each session boundary (default 30s)")
@@ -197,23 +165,11 @@ func run(args []string, sig <-chan os.Signal, out io.Writer) error {
 		}
 		opts.Replica = true
 	}
-	db, err := openEngine(opts, *shards)
+	db, err := partition.Open(opts, *shards)
 	if err != nil {
 		return err
 	}
 	defer db.Close()
-
-	// Replication sees the engine as its constituent trees in shard
-	// order: a flat store is the one-shard case.
-	var shardDBs []*core.DB
-	switch e := db.(type) {
-	case *core.DB:
-		shardDBs = []*core.DB{e}
-	case *partition.Store:
-		for i := 0; i < e.NumShards(); i++ {
-			shardDBs = append(shardDBs, e.Partition(i))
-		}
-	}
 
 	var (
 		serveDB server.Engine = db
@@ -223,7 +179,7 @@ func run(args []string, sig <-chan os.Signal, out io.Writer) error {
 	if *follow == "" {
 		// Every leader can be followed; the hook is idle until a
 		// follower subscribes.
-		repl = replica.NewLeader(shardDBs, replica.LeaderOptions{})
+		repl = replica.NewLeader(db.Shards(), replica.LeaderOptions{})
 	} else {
 		recv, err = replica.NewReceiver(replica.ReceiverOptions{
 			Leader:        *follow,
@@ -231,7 +187,7 @@ func run(args []string, sig <-chan os.Signal, out io.Writer) error {
 			SessionLength: *followSession,
 			FS:            opts.FS,
 			Dir:           *dbPath,
-			Shards:        shardDBs,
+			Shards:        db.Shards(),
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(out, "lsmserved: "+format+"\n", args...)
 			},

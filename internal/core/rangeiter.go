@@ -20,6 +20,19 @@ type RangeIter interface {
 	Close() error
 }
 
+// Collect copies out up to limit entries of it from its first (limit
+// <= 0: all of them) and returns them with the iterator's error.
+func Collect(it RangeIter, limit int) ([]KV, error) {
+	var out []KV
+	for ok := it.First(); ok; ok = it.Next() {
+		out = append(out, KV{Key: cp(it.Key()), Value: cp(it.Value())})
+		if limit > 0 && len(out) >= limit {
+			break
+		}
+	}
+	return out, it.Err()
+}
+
 // NewRangeIter returns an iterator over the live entries in
 // [lower, upper) — nil bounds mean unbounded — typed as the engine-
 // neutral RangeIter.

@@ -48,14 +48,7 @@ func (s *Snapshot) Scan(start, end []byte, limit int) ([]KV, error) {
 		return nil, err
 	}
 	defer it.Close()
-	var out []KV
-	for ok := it.First(); ok; ok = it.Next() {
-		out = append(out, KV{Key: cp(it.Key()), Value: cp(it.Value())})
-		if limit > 0 && len(out) >= limit {
-			break
-		}
-	}
-	return out, it.Err()
+	return Collect(it, limit)
 }
 
 // Seq exposes the snapshot's sequence number (used by experiments).

@@ -274,38 +274,22 @@ func (st *Store) rewrite(s *State) error {
 		st.f.Close()
 		st.f = nil
 	}
-	tmp := st.path + ".tmp"
-	f, err := st.fs.Create(tmp)
-	if err != nil {
-		return err
-	}
-	var written int64
+	var frame []byte
 	if s != nil {
 		payload := encodeState(s)
-		frame := make([]byte, 8+len(payload))
+		frame = make([]byte, 8+len(payload))
 		binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
 		binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
 		copy(frame[8:], payload)
-		if _, err := f.Write(frame); err != nil {
-			f.Close()
-			return err
-		}
-		written = int64(len(frame))
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := st.fs.Rename(tmp, st.path); err != nil {
+	err := vfs.WriteFileAtomic(st.fs, st.path, frame)
+	if err != nil {
 		return err
 	}
 	if st.f, err = st.fs.Append(st.path); err != nil {
 		return err
 	}
-	st.size = written
+	st.size = int64(len(frame))
 	return nil
 }
 

@@ -1,10 +1,11 @@
-// Package partition is the sharded engine: the key space hash-routed
-// across independent LSM trees (tutorial §2.2.2: PebblesDB fragments
-// the key range; Nova-LSM shards across storage components). Each
-// shard owns a full core.DB — its own memtable, WAL, group-commit
-// pipeline, flush queue, and compaction workers — so background work
-// parallelizes across shards, the property a single tree cannot offer
-// because its compactions chain through adjacent levels.
+// Package partition is the store: the key space hash-routed across
+// independent LSM trees (tutorial §2.2.2: PebblesDB fragments the key
+// range; Nova-LSM shards across storage components). Each shard owns a
+// full core.DB — its own memtable, WAL, group-commit pipeline, flush
+// queue, and compaction workers — so background work parallelizes
+// across shards, the property a single tree cannot offer because its
+// compactions chain through adjacent levels. A single tree is the
+// one-shard store, every operation handed straight to it.
 //
 // The Store is the router in front of the shards:
 //
@@ -40,39 +41,38 @@ import (
 )
 
 // ErrShardMismatch is returned when Open's requested shard count does
-// not match the count implied by the directory layout. Reopening with
-// the wrong count would silently misroute keys, so it is refused.
+// not match the count the directory holds. Reopening with the wrong
+// count would silently misroute keys, so it is refused.
 var ErrShardMismatch = errors.New("partition: shard count does not match directory layout")
 
-// shardDirName names shard i's subdirectory.
+// shardDirName names shard i's subdirectory in a store of several.
 func shardDirName(i int) string { return fmt.Sprintf("part-%03d", i) }
 
-// deriveProbeLimit bounds the gap scan in DeriveShards: after the
-// contiguous prefix ends, this many further indices are checked for a
-// stray shard that would indicate a damaged (gapped) layout.
-const deriveProbeLimit = 1024
-
-// DeriveShards inspects path and reports the shard count its layout
-// implies: the length of the contiguous part-NNN prefix, each probed by
-// its MANIFEST (vfs.List is files-only on every implementation, so
-// subdirectories are probed, not listed). It returns 0 when the
-// directory is absent or holds no shards. A flat single-tree layout (a
-// MANIFEST directly in path) or a non-contiguous part set is an error —
-// opening such a directory as a sharded store would orphan its data.
-func DeriveShards(fs vfs.FS, path string) (int, error) {
-	if fs.Exists(vfs.Join(path, "MANIFEST")) {
-		return 0, fmt.Errorf("partition: %s holds a flat single-tree store; open it with core.Open or migrate it into part-000", path)
+// layout is the one place a directory is read as flat or sharded. The
+// descriptor is the sole source of a count above one; without it the
+// directory is a one-shard store, fresh when it has no MANIFEST either.
+// A sharded directory from before the descriptor (part-000/MANIFEST,
+// nothing at the root) is adopted once by its contiguous part-NNN
+// prefix and given one.
+func layout(fs vfs.FS, path string) (shards int, fresh bool, err error) {
+	if fs.Exists(vfs.Join(path, descriptorName)) {
+		shards, err = readDescriptor(fs, path)
+		return shards, false, err
 	}
-	n := 0
-	for fs.Exists(vfs.Join(path, shardDirName(n), "MANIFEST")) {
-		n++
+	flat := fs.Exists(vfs.Join(path, "MANIFEST"))
+	legacy := 0
+	for fs.Exists(vfs.Join(path, shardDirName(legacy), "MANIFEST")) {
+		legacy++
 	}
-	for i := n + 1; i <= n+deriveProbeLimit; i++ {
-		if fs.Exists(vfs.Join(path, shardDirName(i), "MANIFEST")) {
-			return 0, fmt.Errorf("partition: %s has a gap in its shard directories (%s exists but %s is missing)", path, shardDirName(i), shardDirName(n))
-		}
+	switch {
+	case legacy == 0:
+		return 1, !flat, nil
+	case flat:
+		return 0, false, fmt.Errorf("partition: %s holds both a flat tree (MANIFEST) and shard directories (%s); refusing to guess which is the store", path, shardDirName(0))
+	case legacy == 1:
+		return 0, false, fmt.Errorf("partition: %s is a one-shard store in the old %s layout; move that directory's files up into %s", path, shardDirName(0), path)
 	}
-	return n, nil
+	return legacy, false, writeDescriptor(fs, path, legacy)
 }
 
 // Store is a hash-sharded set of LSM trees behind one engine API.
@@ -93,41 +93,45 @@ type Store struct {
 	subPool sync.Pool
 }
 
-// Open creates (or reopens) a store with n shards, each in its own
-// part-NNN subdirectory of opts.Path inheriting every other option.
-// n == 0 derives the count from an existing layout (and fails on a
-// fresh directory, where there is nothing to derive). A reopen whose n
-// disagrees with the layout is refused with ErrShardMismatch.
+// Open creates or reopens the store in opts.Path with n shards, each
+// inheriting every other option. One shard lives in opts.Path itself —
+// the layout core.Open reads and writes — and several in part-NNN
+// subdirectories beside a descriptor of the count, made durable before
+// the first shard is created. n == 0 opens whatever is there, one shard
+// when fresh; an n that disagrees is refused with ErrShardMismatch.
 func Open(opts core.Options, n int) (*Store, error) {
-	derived, derr := DeriveShards(opts.FS, opts.Path)
-	if derr != nil {
-		return nil, derr
-	}
-	switch {
-	case n < 0:
+	if n < 0 || n > maxShards {
 		return nil, fmt.Errorf("partition: invalid shard count %d", n)
-	case n == 0:
-		if derived == 0 {
-			return nil, fmt.Errorf("partition: %s has no shard layout to derive a count from", opts.Path)
+	}
+	have, fresh, err := layout(opts.FS, opts.Path)
+	if err != nil {
+		return nil, err
+	}
+	if n == 0 {
+		n = have
+	}
+	if n != have {
+		if !fresh {
+			return nil, fmt.Errorf("%w: requested %d, directory %s has %d", ErrShardMismatch, n, opts.Path, have)
 		}
-		n = derived
-	case derived > 0 && derived != n:
-		return nil, fmt.Errorf("%w: requested %d, directory %s has %d", ErrShardMismatch, n, opts.Path, derived)
+		if err := writeDescriptor(opts.FS, opts.Path, n); err != nil {
+			return nil, err
+		}
 	}
 	s := &Store{opts: opts, parts: make([]*core.DB, 0, n)}
 	s.subPool.New = func() any { return make([]core.Batch, n) }
 	for i := 0; i < n; i++ {
+		// A shard the descriptor names is opened whether or not its
+		// MANIFEST survived a crash: core.Open replays its WAL.
 		po := opts
-		po.Path = vfs.Join(opts.Path, shardDirName(i))
+		if n > 1 {
+			po.Path = vfs.Join(opts.Path, shardDirName(i))
+		}
 		db, err := core.Open(po)
 		if err != nil {
 			// Don't leak the shards already opened; their close errors
 			// ride along with the open failure.
-			errs := []error{fmt.Errorf("partition: open %s: %w", shardDirName(i), err)}
-			if cerr := s.Close(); cerr != nil {
-				errs = append(errs, cerr)
-			}
-			return nil, errors.Join(errs...)
+			return nil, errors.Join(fmt.Errorf("partition: open shard %d of %d in %s: %w", i, n, opts.Path, err), s.Close())
 		}
 		s.parts = append(s.parts, db)
 	}
@@ -137,12 +141,21 @@ func Open(opts core.Options, n int) (*Store, error) {
 // NumShards returns the shard count.
 func (s *Store) NumShards() int { return len(s.parts) }
 
+// Shards returns the trees in shard order, not to be modified.
+func (s *Store) Shards() []*core.DB { return s.parts }
+
 // shardOf returns the index of the shard owning key.
 func (s *Store) shardOf(key []byte) int {
 	return int(bloom.Hash64(key) % uint64(len(s.parts)))
 }
 
-func (s *Store) route(key []byte) *core.DB { return s.parts[s.shardOf(key)] }
+// route returns the shard owning key; one shard owns every key unhashed.
+func (s *Store) route(key []byte) *core.DB {
+	if len(s.parts) == 1 {
+		return s.parts[0]
+	}
+	return s.parts[s.shardOf(key)]
+}
 
 // Put writes a key into its shard.
 func (s *Store) Put(key, value []byte) error { return s.route(key).Put(key, value) }
@@ -252,5 +265,5 @@ func (s *Store) Partition(i int) *core.DB { return s.parts[i] }
 
 // Close closes every shard, aggregating their errors.
 func (s *Store) Close() error {
-	return s.eachShard(func(_ int, p *core.DB) error { return p.Close() })
+	return s.eachShard(func(_ string, p *core.DB) error { return p.Close() })
 }

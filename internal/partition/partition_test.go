@@ -161,7 +161,7 @@ func TestAggregateMetrics(t *testing.T) {
 }
 
 func TestOpenErrors(t *testing.T) {
-	if _, err := Open(core.DefaultOptions(vfs.NewMem(), "x"), 0); err == nil {
-		t.Error("zero partitions accepted")
+	if _, err := Open(core.DefaultOptions(vfs.NewMem(), "x"), -1); err == nil {
+		t.Error("negative shard count accepted")
 	}
 }

@@ -33,6 +33,9 @@ func (s *Store) snapshotVec() []*core.Snapshot {
 // generalization of the single tree's visibleSeq token (read-your-
 // writes over the wire: see wire.OpWatermark).
 func (s *Store) SeqVector() []uint64 {
+	if len(s.parts) == 1 {
+		return s.parts[0].SeqVector()
+	}
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()
 	vec := make([]uint64, len(s.parts))
@@ -147,8 +150,12 @@ func (it *storeIter) Close() error {
 // NewRangeIter returns a merged iterator over the live entries of every
 // shard in [lower, upper) (nil = unbounded), at snapshot-vector
 // isolation: the result is globally sorted and observes each
-// multi-shard batch all-or-nothing.
+// multi-shard batch all-or-nothing. One shard's own iterator already is
+// that stream.
 func (s *Store) NewRangeIter(lower, upper []byte) (core.RangeIter, error) {
+	if len(s.parts) == 1 {
+		return s.parts[0].NewRangeIter(lower, upper)
+	}
 	it := &storeIter{snaps: s.snapshotVec()}
 	sources := make([]kv.Iterator, 0, len(it.snaps))
 	for _, snap := range it.snaps {
@@ -168,21 +175,13 @@ func (s *Store) NewRangeIter(lower, upper []byte) (core.RangeIter, error) {
 // Scan returns up to limit live entries in [start, end) across all
 // shards, globally ordered and snapshot-vector consistent.
 func (s *Store) Scan(start, end []byte, limit int) ([]core.KV, error) {
+	if len(s.parts) == 1 {
+		return s.parts[0].Scan(start, end, limit)
+	}
 	it, err := s.NewRangeIter(start, end)
 	if err != nil {
 		return nil, err
 	}
-	var out []core.KV
-	for ok := it.First(); ok; ok = it.Next() {
-		out = append(out, core.KV{
-			Key:   append([]byte(nil), it.Key()...),
-			Value: append([]byte(nil), it.Value()...),
-		})
-		if limit > 0 && len(out) >= limit {
-			break
-		}
-	}
-	err = it.Err()
-	it.Close()
-	return out, err
+	defer it.Close()
+	return core.Collect(it, limit)
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -143,9 +145,9 @@ func TestCrossShardScanConsistency(t *testing.T) {
 
 // TestReopenShardMismatch pins the layout contract: an explicit count
 // that disagrees with the directory is refused with ErrShardMismatch,
-// count 0 derives from the layout, and a flat single-tree directory is
-// refused outright rather than orphaning its data under part-NNN
-// routing.
+// count 0 reopens with the recorded count, and a flat single-tree
+// directory is refused as a sharded store rather than orphaning its
+// data under part-NNN routing.
 func TestReopenShardMismatch(t *testing.T) {
 	fs := vfs.NewMem()
 	opts := core.DefaultOptions(fs, "pdb")
@@ -167,16 +169,13 @@ func TestReopenShardMismatch(t *testing.T) {
 		t.Fatalf("reopen with wrong count: got %v, want ErrShardMismatch", err)
 	}
 
-	if n, err := DeriveShards(fs, "pdb"); err != nil || n != 4 {
-		t.Fatalf("DeriveShards = %d, %v; want 4", n, err)
-	}
 	s2, err := Open(opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
 	if s2.NumShards() != 4 {
-		t.Fatalf("derived reopen has %d shards, want 4", s2.NumShards())
+		t.Fatalf("reopen has %d shards, want 4", s2.NumShards())
 	}
 	for i := 0; i < 100; i += 13 {
 		v, err := s2.Get([]byte(fmt.Sprintf("k%03d", i)))
@@ -195,24 +194,30 @@ func TestReopenShardMismatch(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DeriveShards(fs, "flat"); err == nil {
-		t.Fatal("DeriveShards accepted a flat layout")
-	}
-	if _, err := Open(flatOpts, 2); err == nil {
-		t.Fatal("Open accepted a flat layout as a sharded store")
+	if _, err := Open(flatOpts, 2); !errors.Is(err, ErrShardMismatch) {
+		t.Fatalf("flat layout opened as a sharded store: got %v, want ErrShardMismatch", err)
 	}
 }
 
 // TestTortureMultiShardCrash is the sharded acked-⇒-durable pin: acked
-// sync'd batches fanned across shards, a simulated power loss (torn
-// unsynced tails per shard), then a derived reopen that must recover
-// every acknowledged key from the per-shard WALs. A second phase runs
-// with SyncWAL off, where acked writes are allowed to vanish but
-// recovery must still succeed and never return garbage.
+// sync'd batches fanned across shards, a simulated power loss at a
+// seeded point of the store's life (torn unsynced tails per shard),
+// then a reopen by Open(opts, 0) that must come back with the created
+// shard count and every acknowledged key from the per-shard WALs. The
+// late point adds a phase with SyncWAL off, where acked writes are
+// allowed to vanish but recovery must still succeed and never return
+// garbage. TORTURE_ITERS overrides the seed count (CI runs 100).
 func TestTortureMultiShardCrash(t *testing.T) {
-	iters := 6
+	iters := 8
 	if testing.Short() {
-		iters = 2
+		iters = crashPoints
+	}
+	if s := os.Getenv("TORTURE_ITERS"); s != "" {
+		n, err := strconv.Atoi(s)
+		if err != nil || n < 1 {
+			t.Fatalf("bad TORTURE_ITERS=%q", s)
+		}
+		iters = n
 	}
 	const baseSeed = 20260808
 	for it := 0; it < iters; it++ {
@@ -223,8 +228,18 @@ func TestTortureMultiShardCrash(t *testing.T) {
 	}
 }
 
+// The points at which tortureShardsOnce cuts the power, chosen by seed.
+const (
+	crashAfterCreate    = iota // right after create, nothing written
+	crashAfterAcked            // sync'd acked batches, nothing flushed, no manifest sync
+	crashTornDescriptor        // an earlier create died mid-descriptor-write; then as crashAfterAcked
+	crashLate                  // acked batches, clean reopen, unsynced tail
+	crashPoints
+)
+
 func tortureShardsOnce(t *testing.T, seed int64) {
 	r := rand.New(rand.NewSource(seed))
+	point := int(seed % crashPoints)
 	base := vfs.NewMem()
 	ffs := faultfs.New(base, seed)
 	opts := core.DefaultOptions(ffs, "pdb")
@@ -232,15 +247,28 @@ func tortureShardsOnce(t *testing.T, seed int64) {
 	opts.SyncWAL = true
 	shards := 2 + r.Intn(3) // 2..4
 
+	if point == crashTornDescriptor {
+		// All the dead create left behind is a prefix of its tmp file.
+		enc := encodeDescriptor(shards)
+		f, err := ffs.Create(vfs.Join("pdb", descriptorName+".tmp"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(enc[:r.Intn(len(enc))]); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
 	s, err := Open(opts, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Acked phase: every batch that Apply acknowledges goes into the
 	// model and must survive the crash.
+	batches := [crashPoints]int{crashAfterCreate: 0, crashAfterAcked: 10, crashTornDescriptor: 10, crashLate: 40}[point]
 	model := map[string]string{}
 	var b core.Batch
-	for i := 0; i < 40; i++ {
+	for i := 0; i < batches; i++ {
 		b.Reset()
 		staged := map[string]string{}
 		for j := 0; j < 1+r.Intn(12); j++ {
@@ -256,56 +284,58 @@ func tortureShardsOnce(t *testing.T, seed int64) {
 			model[k] = v
 		}
 	}
-	// Unacked phase: flip to an unsynced store over the same device so
-	// the crash has real torn tails to cut. These writes are uncertain:
-	// each key must come back as either its new value, its prior acked
-	// value, or absent — never anything else.
-	uopts := opts
-	uopts.SyncWAL = false
-	uncertain := map[string]bool{}
 	s.WaitIdle()
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	u, err := Open(uopts, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.NumShards() != shards {
-		t.Fatalf("derived %d shards, want %d", u.NumShards(), shards)
-	}
+	uncertain := map[string]bool{}
 	// The crash may keep any prefix of a shard's unsynced WAL, so after
 	// recovery a key may hold ANY of its unsynced values (whichever was
 	// last in the surviving prefix), not only the final one.
 	newVals := map[string][]string{}
-	for i := 0; i < 20; i++ {
-		b.Reset()
-		for j := 0; j < 1+r.Intn(12); j++ {
-			k := fmt.Sprintf("k%04d", r.Intn(600))
-			v := fmt.Sprintf("u%d.%d.%d", seed, i, j)
-			b.Put([]byte(k), []byte(v))
-			uncertain[k] = true
-			newVals[k] = append(newVals[k], v)
-		}
-		if err := u.Apply(&b); err != nil {
+	if point == crashLate {
+		// Unacked phase: flip to an unsynced store over the same device
+		// so the crash has real torn tails to cut. These writes are
+		// uncertain: each key must come back as either its new value, its
+		// prior acked value, or absent — never anything else.
+		uopts := opts
+		uopts.SyncWAL = false
+		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
+		u, err := Open(uopts, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if u.NumShards() != shards {
+			t.Fatalf("reopened with %d shards, want %d", u.NumShards(), shards)
+		}
+		for i := 0; i < 20; i++ {
+			b.Reset()
+			for j := 0; j < 1+r.Intn(12); j++ {
+				k := fmt.Sprintf("k%04d", r.Intn(600))
+				v := fmt.Sprintf("u%d.%d.%d", seed, i, j)
+				b.Put([]byte(k), []byte(v))
+				uncertain[k] = true
+				newVals[k] = append(newVals[k], v)
+			}
+			if err := u.Apply(&b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		u.WaitIdle()
 	}
-	u.WaitIdle()
 
 	// Power loss: cut every file back to its synced length (plus a
 	// seeded-random torn prefix of the unsynced tail), abandon the old
-	// handles, reopen by derivation.
+	// handles, reopen as whatever is there.
 	if err := ffs.Crash(); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := Open(opts, 0)
 	if err != nil {
-		t.Fatalf("reopen after crash: %v", err)
+		t.Fatalf("reopen after crash at point %d: %v", point, err)
 	}
 	defer s2.Close()
 	if s2.NumShards() != shards {
-		t.Fatalf("derived %d shards after crash, want %d", s2.NumShards(), shards)
+		t.Fatalf("%d shards after crash at point %d, want %d", s2.NumShards(), point, shards)
 	}
 	legal := func(k, got string) bool {
 		for _, v := range newVals[k] {

@@ -17,12 +17,17 @@ import (
 // operators hunting hot-shard skew; maintenance (flush, compact,
 // retune, scrub, checkpoint, close) fans out through eachShard.
 
-// eachShard runs fn on every shard and joins the failures, each named
-// by its shard directory.
-func (s *Store) eachShard(fn func(i int, p *core.DB) error) error {
+// eachShard runs fn on every shard, in order, with the shard's
+// directory relative to the store's, and joins the failures, each named
+// by that directory. A lone shard is the store directory itself ("")
+// and its error passes through as is.
+func (s *Store) eachShard(fn func(dir string, p *core.DB) error) error {
+	if len(s.parts) == 1 {
+		return fn("", s.parts[0])
+	}
 	var errs []error
 	for i, p := range s.parts {
-		if err := fn(i, p); err != nil {
+		if err := fn(shardDirName(i), p); err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", shardDirName(i), err))
 		}
 	}
@@ -31,12 +36,12 @@ func (s *Store) eachShard(fn func(i int, p *core.DB) error) error {
 
 // Flush flushes every shard.
 func (s *Store) Flush() error {
-	return s.eachShard(func(_ int, p *core.DB) error { return p.Flush() })
+	return s.eachShard(func(_ string, p *core.DB) error { return p.Flush() })
 }
 
 // Compact runs a full manual compaction on every shard.
 func (s *Store) Compact() error {
-	return s.eachShard(func(_ int, p *core.DB) error { return p.Compact() })
+	return s.eachShard(func(_ string, p *core.DB) error { return p.Compact() })
 }
 
 // WaitIdle blocks until every shard's background work has drained.
@@ -48,8 +53,12 @@ func (s *Store) WaitIdle() {
 
 // Stats merges the shards' views into the store-wide one, by the
 // descriptor tables' rules: counters sum, the degraded flag is set if
-// any shard sets it, histograms merge bucket-wise.
+// any shard sets it, histograms merge bucket-wise. One shard's view is
+// the store's, with no per-shard rows.
 func (s *Store) Stats() core.Stats {
+	if len(s.parts) == 1 {
+		return s.parts[0].Stats()
+	}
 	views := make([]core.Stats, len(s.parts))
 	for i, p := range s.parts {
 		views[i] = p.Stats()
@@ -69,38 +78,32 @@ func (s *Store) Tracer() *trace.Tracer { return s.parts[0].Tracer() }
 
 // SetShape retunes every shard to the layout online.
 func (s *Store) SetShape(layout compaction.Layout, sizeRatio int) error {
-	return s.eachShard(func(_ int, p *core.DB) error { return p.SetShape(layout, sizeRatio) })
+	return s.eachShard(func(_ string, p *core.DB) error { return p.SetShape(layout, sizeRatio) })
 }
 
 // Shape returns the shards' common strategy name and size ratio.
 func (s *Store) Shape() (layout string, sizeRatio int) { return s.parts[0].Shape() }
 
 // ScrubShards scrubs each shard, returning the per-shard reports with
-// finding paths prefixed by the shard directory.
+// finding paths relative to the store directory.
 func (s *Store) ScrubShards() ([]core.ScrubReport, error) {
-	reps := make([]core.ScrubReport, len(s.parts))
-	err := s.eachShard(func(i int, p *core.DB) error {
+	reps := make([]core.ScrubReport, 0, len(s.parts))
+	err := s.eachShard(func(dir string, p *core.DB) error {
 		rep, err := p.Scrub()
 		for j := range rep.Findings {
-			rep.Findings[j].Path = vfs.Join(shardDirName(i), rep.Findings[j].Path)
+			rep.Findings[j].Path = vfs.Join(dir, rep.Findings[j].Path)
 		}
-		reps[i] = rep
+		reps = append(reps, rep)
 		return err
 	})
 	return reps, err
 }
 
-// Scrub verifies every shard and merges the reports. ManifestOK is the
-// conjunction across shards; findings carry their shard directory.
-func (s *Store) Scrub() (core.ScrubReport, error) {
-	reps, err := s.ScrubShards()
-	return MergeScrubReports(reps), err
-}
-
-// MergeScrubReports folds per-shard scrub reports into one store-wide
-// total. Callers that already hold per-shard reports must merge them
-// rather than call Scrub again: scrubbing quarantines corrupt tables,
-// so a second pass would no longer see what the first one found.
+// MergeScrubReports folds ScrubShards' reports into one store-wide
+// total: ManifestOK is the conjunction across shards, findings carry
+// their shard directory. Merge rather than scrub again — scrubbing
+// quarantines corrupt tables, so a second pass would no longer see what
+// the first one found.
 func MergeScrubReports(reps []core.ScrubReport) core.ScrubReport {
 	total := core.ScrubReport{ManifestOK: true}
 	for _, rep := range reps {
@@ -113,9 +116,17 @@ func MergeScrubReports(reps []core.ScrubReport) core.ScrubReport {
 	return total
 }
 
-// Checkpoint writes a consistent online backup of every shard into
-// dir/part-NNN, reproducing the store's own layout so the checkpoint
-// reopens as a sharded store with the same count.
+// Checkpoint writes a consistent online backup of every shard into dir,
+// reproducing the store's own layout — descriptor first, as at create —
+// so the checkpoint reopens as a store with the same count.
 func (s *Store) Checkpoint(dir string) error {
-	return s.eachShard(func(i int, p *core.DB) error { return p.Checkpoint(vfs.Join(dir, shardDirName(i))) })
+	if n := len(s.parts); n > 1 {
+		if s.opts.FS.Exists(vfs.Join(dir, descriptorName)) {
+			return fmt.Errorf("partition: checkpoint target %s already holds a store", dir)
+		}
+		if err := writeDescriptor(s.opts.FS, dir, n); err != nil {
+			return err
+		}
+	}
+	return s.eachShard(func(sub string, p *core.DB) error { return p.Checkpoint(vfs.Join(dir, sub)) })
 }

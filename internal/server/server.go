@@ -40,10 +40,10 @@ import (
 var ErrShutdown = errors.New("server: shutting down")
 
 // Engine is the store surface the server serves: the data verbs, one
-// monitoring view, and the watermark — satisfied by both a single tree
-// (*core.DB) and the sharded store (*partition.Store). The serving
-// layer is engine-form agnostic — lsmserved -shards N swaps the
-// implementation without touching a handler.
+// monitoring view, and the watermark. lsmserved serves a
+// *partition.Store of any shard count; a bare *core.DB (embedders, the
+// benchmark) and replica.Engine satisfy it too, and no handler knows
+// which it has.
 type Engine interface {
 	GetTraced(key []byte, traceID uint64) ([]byte, error)
 	ApplyTraced(b *core.Batch, traceID uint64) error

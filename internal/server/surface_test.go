@@ -113,11 +113,25 @@ func dial(t *testing.T, addr string) *client.Client {
 	return cl
 }
 
-func flatSurface(t *testing.T) surface {
+// flatStore is a flat tree in either of its forms: a *core.DB, or the
+// one-shard partition.Store every command opens. Both must render the
+// same goldens.
+type flatStore interface {
+	server.Engine
+	Flush() error
+	Close() error
+}
+
+var flatForms = map[string]func(core.Options) (flatStore, error){
+	"core.DB":         func(o core.Options) (flatStore, error) { return core.Open(o) },
+	"one-shard store": func(o core.Options) (flatStore, error) { return partition.Open(o, 1) },
+}
+
+func flatSurface(t *testing.T, open func(core.Options) (flatStore, error)) surface {
 	opts := core.DefaultOptions(vfs.NewMem(), "db")
 	opts.RecordLatencies = true
 	opts.Tracer = trace.New(trace.Options{SampleEvery: 1, RingSize: 64, Seed: 7})
-	db, err := core.Open(opts)
+	db, err := open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,24 +309,34 @@ func withoutShardedAdditions(masked string) string {
 }
 
 func TestSurfaceMetricsFamilies(t *testing.T) {
-	for name, s := range map[string]surface{
-		"flat":      flatSurface(t),
-		"sharded":   shardedSurface(t),
-		"admission": admissionSurface(t),
-		"follower":  followerSurface(t),
+	for _, in := range []struct {
+		name, golden string
+		s            surface
+	}{
+		{"flat core.DB", "flat", flatSurface(t, flatForms["core.DB"])},
+		{"flat one-shard store", "flat", flatSurface(t, flatForms["one-shard store"])},
+		{"sharded", "sharded", shardedSurface(t)},
+		{"admission", "admission", admissionSurface(t)},
+		{"follower", "follower", followerSurface(t)},
 	} {
-		payload := s.metrics(t)
-		golden(t, "metrics_"+name, families(payload))
-		for _, problem := range lintProm(payload) {
-			t.Errorf("%s /metrics: %s", name, problem)
-		}
+		t.Run(in.name, func(t *testing.T) {
+			payload := in.s.metrics(t)
+			golden(t, "metrics_"+in.golden, families(payload))
+			for _, problem := range lintProm(payload) {
+				t.Errorf("/metrics: %s", problem)
+			}
+		})
 	}
 }
 
 func TestSurfaceStatsText(t *testing.T) {
-	flat := flatSurface(t)
-	golden(t, "stats_flat", mask(flat.stats(t, false)))
-	golden(t, "stats_flat_v", mask(flat.stats(t, true)))
+	for form, open := range flatForms {
+		t.Run(form, func(t *testing.T) {
+			flat := flatSurface(t, open)
+			golden(t, "stats_flat", mask(flat.stats(t, false)))
+			golden(t, "stats_flat_v", mask(flat.stats(t, true)))
+		})
+	}
 	sharded := shardedSurface(t)
 	golden(t, "stats_sharded", withoutShardedAdditions(mask(sharded.stats(t, false))))
 	golden(t, "stats_sharded_v", withoutShardedAdditions(mask(sharded.stats(t, true))))

@@ -362,6 +362,29 @@ func (OSFS) Exists(name string) bool {
 	return err == nil
 }
 
+// WriteFileAtomic makes name hold exactly data, durably and all or
+// nothing: it writes name.tmp, syncs it and renames it over name. A
+// crash may leave a stale name.tmp, which the next call truncates.
+func WriteFileAtomic(fs FS, name string, data []byte) error {
+	f, err := fs.Create(name + ".tmp")
+	if err != nil {
+		return err
+	}
+	if len(data) > 0 {
+		_, err = f.Write(data)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fs.Rename(name+".tmp", name)
+	}
+	return err
+}
+
 // Join joins path elements with the platform separator; provided here so
 // callers need not import path/filepath alongside vfs.
 func Join(elem ...string) string { return filepath.Join(elem...) }

@@ -193,8 +193,8 @@ echo "degradation visible on the debug plane"
 echo "== sharded serving =="
 # A third server over 4 hash-routed shards: round trips route by key,
 # scans merge the shards into one ordered stream, stats carry per-shard
-# rows, and the layout survives a restart with the count derived from
-# the part-NNN directories.
+# rows, and the layout survives a restart with the count read from the
+# store's SHARDS descriptor.
 "$bin/lsmserved" -db "$work/db3" -shards 4 -addr 127.0.0.1:0 -addr-file "$work/addr3" \
   -grace 10s >"$work/server3.log" 2>&1 &
 srv_pid=$!
@@ -239,9 +239,27 @@ srv_pid=""
 grep -q 'closed cleanly' "$work/server3.log" || { cat "$work/server3.log"; echo "sharded server no clean close"; exit 1; }
 
 echo "== sharded durability + layout guard =="
-ls -d "$work/db3"/part-000 "$work/db3"/part-003 >/dev/null || { echo "shard directories missing"; exit 1; }
-# lsmctl -db derives the shard count from the layout.
+ls -d "$work/db3"/part-000 "$work/db3"/part-003 "$work/db3"/SHARDS >/dev/null || { echo "shard directories or descriptor missing"; exit 1; }
+[[ ! -e "$work/db3/MANIFEST" ]] || { echo "a flat tree appeared beside the shards"; exit 1; }
+# lsmctl -db opens the store with the count its descriptor records.
 [[ "$("$bin/lsmctl" -db "$work/db3" get sh-key-12)" == "val-12" ]] || { echo "sharded store lost sh-key-12"; exit 1; }
+# So does a restart with no -shards flag: 4 shards, and a key from
+# before the restart.
+rm -f "$work/addr3"
+"$bin/lsmserved" -db "$work/db3" -addr 127.0.0.1:0 -addr-file "$work/addr3" \
+  -grace 10s >"$work/server3b.log" 2>&1 &
+srv_pid=$!
+for _ in $(seq 1 100); do
+  [[ -s "$work/addr3" ]] && break
+  kill -0 "$srv_pid" || { cat "$work/server3b.log"; echo "restarted sharded server died"; exit 1; }
+  sleep 0.05
+done
+addr3="$(cat "$work/addr3")"
+ctl3 stats | grep -q '^shards=4$' || { ctl3 stats; echo "restart without -shards did not come back with 4 shards"; exit 1; }
+[[ "$(ctl3 get sh-key-12)" == "val-12" ]] || { echo "restart without -shards lost sh-key-12"; exit 1; }
+kill -TERM "$srv_pid"
+wait "$srv_pid" || { cat "$work/server3b.log"; echo "restarted sharded server exited non-zero"; exit 1; }
+srv_pid=""
 # A reopen with the wrong count must be refused, never silently misroute.
 if timeout 10 "$bin/lsmserved" -db "$work/db3" -shards 2 -addr 127.0.0.1:0 >"$work/server4.log" 2>&1; then
   echo "server accepted a mismatched shard count"; exit 1
