@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-write bench-smoke bench-baseline bench-diff tables examples cover serve-smoke fuzz-wire torture torture-repl clean
+.PHONY: all build test race bench bench-write bench-smoke bench-gate tables examples cover serve-smoke fuzz-wire torture torture-repl clean
 
 all: build test
 
@@ -25,39 +25,20 @@ bench:
 bench-write:
 	$(GO) test -run '^$$' -bench 'BenchmarkPutParallel|BenchmarkBatchReuse' -benchmem .
 
-# Quick benchmark smoke (CI): one iteration of every testing.B bench,
-# then short engine and network lsmbench runs that must emit parseable
-# machine-readable JSON summaries.
+# Quick benchmark smoke (CI): one iteration of every testing.B bench
+# (the benchmark's own smoke test runs under `go test ./...`).
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x ./...
-	$(GO) run ./cmd/lsmbench -writers 4 -ops 20000 -json bench_smoke.json
-	grep -q '"ops_per_sec"' bench_smoke.json
-	grep -q '"p99_ns"' bench_smoke.json
-	grep -q '"write_amplification"' bench_smoke.json
-	$(GO) run ./cmd/lsmbench -serve -conns 4 -ops 20000 -json bench_smoke_net.json
-	grep -q '"mode": "net"' bench_smoke_net.json
-	grep -q '"p999_ns"' bench_smoke_net.json
-	$(GO) run ./cmd/lsmbench -serve -tenants 2 -quota ops=200,burst=0.5 -ops 600 -json bench_smoke_tenants.json
-	grep -q '"mode": "net-tenants"' bench_smoke_tenants.json
-	grep -q '"throttle_rate"' bench_smoke_tenants.json
-	grep -q '"retry_after_ns"' bench_smoke_tenants.json
 	# Profiler cost gates: the always-on workload profiler must keep the
 	# get hot path allocation-free and within 3% of a profiler-off build.
 	$(GO) test ./internal/core -run 'TestGetHotZeroAllocs' -count=1
 	PROFILER_GUARD=1 $(GO) test ./internal/core -run 'TestProfilerOverheadGuard' -count=1 -v
 
-# Run the pinned perf-trajectory workload and gate it against the
-# newest committed BENCH_<n>.json (what the CI bench-trajectory job
-# runs; the fresh result lands in BENCH_ci.json).
-bench-baseline:
-	./scripts/bench_baseline.sh
-
-# Compare two trajectory files metric-by-metric (defaults to the
-# committed baseline pair). Override: make bench-diff OLD=a.json NEW=b.json
-OLD ?= BENCH_0.json
-NEW ?= BENCH_1.json
-bench-diff:
-	$(GO) run ./cmd/lsmbench -compare $(OLD) $(NEW)
+# The performance gate (what CI's bench-gate job runs): BENCHMARK.json's
+# four workloads on ten interleaved parent/change pairs, judged by
+# `benchmark compare`; the table lands in bench_gate.txt. About 35 min.
+bench-gate:
+	./scripts/bench_gate.sh
 
 # Regenerate every experiment table at full scale (EXPERIMENTS.md data).
 tables:
@@ -89,10 +70,12 @@ torture-repl:
 	TORTURE_REPL_ITERS=50 $(GO) test ./internal/replica -race -run TestReplicationTortureConvergence -count=1 -v
 
 # Short fuzz runs over the decoders of outside bytes: the wire-protocol
-# codec (CI runs 30s) and the store descriptor (16 bytes; 10s).
+# codec (CI runs 30s), the store descriptor (16 bytes; 10s) and the WAL
+# frame + batch decoder a follower runs on shipped bytes (10s).
 fuzz-wire:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 30s
 	$(GO) test ./internal/partition -run '^$$' -fuzz FuzzDecodeDescriptor -fuzztime 10s
+	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s
 
 # Coverage over the engine packages: per-package summary (the `ok`
 # lines), then a blocking floor on the combined total. CI fails the
@@ -106,4 +89,4 @@ cover:
 		|| { echo "FAIL: total coverage $$total% is below the $(COVER_FLOOR)% floor"; exit 1; }
 
 clean:
-	rm -f bench_tables.txt coverage.out bench_smoke.json bench_smoke_net.json bench_smoke_tenants.json
+	rm -f bench_tables.txt coverage.out bench_gate.txt

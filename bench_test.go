@@ -1,6 +1,10 @@
-// Package lsmlab's root benchmark suite: one testing.B target per
-// experiment in DESIGN.md §3 (run the same tables with more control via
-// cmd/lsmbench), plus micro-benchmarks of the hot paths.
+// Package lsmlab's root benchmark suite: one testing.B target per E/O
+// experiment in DESIGN.md §3 (W1's is BenchmarkPutParallel; the tables
+// themselves, N1 included, print through cmd/lsmbench -exp), plus
+// micro-benchmarks of the hot paths. These are for measuring while
+// working: performance claims and the CI gate are stated in the
+// workloads and metrics of BENCHMARK.json (bash benchmark/run.sh,
+// scripts/bench_gate.sh).
 //
 // Experiment benches run the full experiment once per iteration at a
 // reduced scale and report the headline figure from its table via

@@ -1,122 +1,92 @@
 package main
 
 import (
+	"flag"
 	"fmt"
-	"sort"
-	"strings"
 )
 
-// lsmbench runs in exactly one of six modes; most flags only make sense
-// in some of them. Instead of silently ignoring a -depth passed to a
-// writers run (and letting the user believe it did something), flag
-// compatibility is validated up front and violations are usage errors.
-const (
-	modeExperiments = "experiments"
-	modeWriters     = "writers"
-	modeNet         = "net"
-	modeRead        = "read"
-	modeBaseline    = "baseline"
-	modeCompare     = "compare"
-)
+// config is the parsed command line. lsmbench has two jobs: experiment
+// tables (-exp, -scale) and load against a running server (-addr and
+// the flags listed in addrOnly).
+type config struct {
+	exp   string
+	scale float64
 
-// modeDeterminers maps each mode-selecting flag to the mode it selects.
-// Two determiners selecting different modes is a conflict (-serve and
-// -addr both select net, which is fine).
-var modeDeterminers = map[string]string{
-	"writers":  modeWriters,
-	"serve":    modeNet,
-	"addr":     modeNet,
-	"mode":     modeRead,
-	"baseline": modeBaseline,
-	"compare":  modeCompare,
-	"exp":      modeExperiments,
-	"scale":    modeExperiments,
+	addr      string
+	conns     int
+	depth     int
+	ops       int
+	valueSize int
+	replicas  string
+	tenants   int
+	quota     string
+	jsonPath  string
 }
 
-// flagModes whitelists the modes each non-determining flag applies to.
-// A flag set outside its modes is rejected, not ignored.
-var flagModes = map[string][]string{
-	"ops":             {modeWriters, modeNet, modeRead},
-	"value":           {modeWriters, modeNet, modeRead},
-	"batch":           {modeWriters},
-	"shards":          {modeWriters},
-	"sync":            {modeWriters, modeNet, modeRead},
-	"syncdelay":       {modeWriters, modeNet},
-	"dir":             {modeWriters, modeNet, modeRead},
-	"json":            {modeWriters, modeNet, modeRead, modeBaseline},
-	"conns":           {modeNet},
-	"depth":           {modeNet},
-	"replicas":        {modeNet},
-	"tenants":         {modeNet},
-	"quota":           {modeNet},
-	"readers":         {modeRead},
-	"keys":            {modeRead},
-	"dist":            {modeRead},
-	"warm":            {modeRead},
-	"bits":            {modeRead},
-	"scanlen":         {modeRead},
-	"threshold-scale": {modeCompare},
-	"markdown":        {modeCompare},
+// addrOnly lists the flags that shape the load sent to -addr.
+var addrOnly = []string{"conns", "depth", "ops", "value", "replicas", "tenants", "quota", "json"}
+
+func newFlagSet(cfg *config) *flag.FlagSet {
+	fs := flag.NewFlagSet("lsmbench", flag.ContinueOnError)
+	fs.StringVar(&cfg.exp, "exp", "all", "comma-separated experiment ids (E1..E13, W1, N1, O1, O2) or 'all'")
+	fs.Float64Var(&cfg.scale, "scale", 1.0, "experiment workload scale factor (1.0 = documented size)")
+
+	fs.StringVar(&cfg.addr, "addr", "", "generate load against the lsmserved at this address instead of printing tables")
+	fs.IntVar(&cfg.conns, "conns", 1, "with -addr: number of client connections")
+	fs.IntVar(&cfg.depth, "depth", 1, "with -addr: pipelined requests in flight per connection (1 = synchronous)")
+	fs.IntVar(&cfg.ops, "ops", 100000, "with -addr: total puts")
+	fs.IntVar(&cfg.valueSize, "value", 100, "with -addr: value size in bytes")
+	fs.StringVar(&cfg.replicas, "replicas", "", "with -addr: comma-separated follower addresses; after the put phase, reads fan out across them with read-your-writes enforced")
+	fs.IntVar(&cfg.tenants, "tenants", 0, "with -addr: overload run with this many tenants; tenant t0 offers 4x its quota, the rest stay under it")
+	fs.StringVar(&cfg.quota, "quota", "", "with -tenants: the per-tenant quota 'ops=N[,bytes=N][,burst=SEC]' the server enforces, which sets the pacing targets")
+	fs.StringVar(&cfg.jsonPath, "json", "", "with -addr: write a machine-readable result summary to this file")
+	return fs
 }
 
-// resolveMode picks the bench mode from the explicitly set flags,
-// rejecting combinations that select two different modes (e.g. -writers
-// with -serve, or -exp with -mode).
-func resolveMode(set map[string]bool) (string, error) {
-	mode := ""
-	chosenBy := ""
-	for _, f := range sortedFlags(set) {
-		m, ok := modeDeterminers[f]
-		if !ok {
-			continue
-		}
-		if mode != "" && m != mode {
-			return "", fmt.Errorf("-%s (%s mode) conflicts with -%s (%s mode)",
-				f, m, chosenBy, mode)
-		}
-		mode, chosenBy = m, f
+// parseFlags parses args and rejects any explicitly set flag that does
+// not apply to the selected job. Like the flag package's own errors,
+// every error it returns has already been reported on standard error.
+func parseFlags(args []string) (config, error) {
+	var cfg config
+	fs := newFlagSet(&cfg)
+	if err := fs.Parse(args); err != nil {
+		return cfg, err
 	}
-	if mode == "" {
-		mode = modeExperiments
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	err := validateFlags(set)
+	if err == nil && fs.NArg() > 0 {
+		err = fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
-	return mode, nil
-}
-
-// validateFlags resolves the mode and rejects any explicitly set flag
-// that does not apply to it. It returns the resolved mode.
-func validateFlags(set map[string]bool) (string, error) {
-	mode, err := resolveMode(set)
 	if err != nil {
-		return "", err
+		fmt.Fprintf(fs.Output(), "lsmbench: %v\n", err)
 	}
-	for _, f := range sortedFlags(set) {
-		if _, isDeterminer := modeDeterminers[f]; isDeterminer {
-			continue
-		}
-		allowed, known := flagModes[f]
-		if !known {
-			continue
-		}
-		ok := false
-		for _, m := range allowed {
-			if m == mode {
-				ok = true
-				break
+	return cfg, err
+}
+
+func validateFlags(set map[string]bool) error {
+	if !set["addr"] {
+		for _, f := range addrOnly {
+			if set[f] {
+				return fmt.Errorf("-%s needs -addr (lsmbench generates load only against a running lsmserved)", f)
 			}
 		}
-		if !ok {
-			return "", fmt.Errorf("-%s is not valid in %s mode (valid in: %s)",
-				f, mode, strings.Join(allowed, ", "))
+		return nil
+	}
+	for _, f := range []string{"exp", "scale"} {
+		if set[f] {
+			return fmt.Errorf("-%s selects experiment tables and cannot be combined with -addr", f)
 		}
 	}
-	return mode, nil
-}
-
-func sortedFlags(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for f := range set {
-		out = append(out, f)
+	if set["quota"] && !set["tenants"] {
+		return fmt.Errorf("-quota requires -tenants")
 	}
-	sort.Strings(out)
-	return out
+	if set["tenants"] {
+		for _, f := range []string{"conns", "depth", "replicas"} {
+			if set[f] {
+				return fmt.Errorf("-%s does not apply to the -tenants overload run", f)
+			}
+		}
+	}
+	return nil
 }

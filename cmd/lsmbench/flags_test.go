@@ -1,92 +1,71 @@
 package main
 
 import (
+	"flag"
 	"strings"
 	"testing"
 )
 
-func set(flags ...string) map[string]bool {
-	m := make(map[string]bool, len(flags))
-	for _, f := range flags {
-		m[f] = true
-	}
-	return m
-}
-
-func TestValidateFlags(t *testing.T) {
+func TestParseFlags(t *testing.T) {
 	cases := []struct {
-		name     string
-		set      map[string]bool
-		wantMode string
-		wantErr  string // substring; empty = no error
+		name    string
+		args    string
+		wantErr string // substring; empty = no error
 	}{
-		{"no flags is experiments", set(), modeExperiments, ""},
-		{"exp selects experiments", set("exp", "scale"), modeExperiments, ""},
-		{"writers mode", set("writers", "ops", "value", "batch", "sync", "json"), modeWriters, ""},
-		{"net serve", set("serve", "conns", "depth", "ops", "json"), modeNet, ""},
-		{"net addr", set("addr", "conns", "depth"), modeNet, ""},
-		{"serve and addr agree on net", set("serve", "addr"), modeNet, ""},
-		{"read mode full knobs", set("mode", "readers", "keys", "dist", "warm", "bits", "scanlen", "ops", "json"), modeRead, ""},
-		{"baseline with json", set("baseline", "json"), modeBaseline, ""},
-		{"compare with thresholds", set("compare", "threshold-scale", "markdown"), modeCompare, ""},
+		{"no flags prints every table", "", ""},
+		{"experiment tables", "-exp E1,W1 -scale 0.25", ""},
+		{"load generator", "-addr 127.0.0.1:1 -conns 2 -depth 4 -ops 10 -value 8 -json out.json", ""},
+		{"replica readback", "-addr 127.0.0.1:1 -replicas 127.0.0.1:2 -conns 2", ""},
+		{"tenant overload", "-addr 127.0.0.1:1 -tenants 2 -quota ops=60,burst=0.5 -ops 240 -json out.json", ""},
 
-		// The silently-ignored combinations that motivated the validator.
-		{"depth in writers mode", set("writers", "depth"), "", "-depth is not valid in writers mode"},
-		{"conns without serve or addr", set("conns"), "", "-conns is not valid in experiments mode"},
-		{"batch in net mode", set("serve", "batch"), "", "-batch is not valid in net mode"},
-		{"readers in writers mode", set("writers", "readers"), "", "-readers is not valid in writers mode"},
-		{"bits in experiments mode", set("bits"), "", "-bits is not valid in experiments mode"},
-		{"json in experiments mode", set("json"), "", "-json is not valid in experiments mode"},
-		{"syncdelay in read mode", set("mode", "syncdelay"), "", "-syncdelay is not valid in read mode"},
-
-		// Conflicting mode determiners.
-		{"writers vs serve", set("writers", "serve"), "", "conflicts"},
-		{"exp vs mode", set("exp", "mode"), "", "conflicts"},
-		{"compare vs writers", set("compare", "writers"), "", "conflicts"},
-		{"baseline vs mode", set("baseline", "mode"), "", "conflicts"},
+		{"tables and load are different jobs", "-exp E1 -addr 127.0.0.1:1", "-exp selects experiment tables"},
+		{"scale with addr", "-addr 127.0.0.1:1 -scale 0.5", "-scale selects experiment tables"},
+		{"conns without a server", "-conns 4", "-conns needs -addr"},
+		{"json without a server", "-exp E1 -json out.json", "-json needs -addr"},
+		{"tenants without a server", "-tenants 2", "-tenants needs -addr"},
+		{"quota without tenants", "-addr 127.0.0.1:1 -quota ops=60", "-quota requires -tenants"},
+		{"depth in a tenants run", "-addr 127.0.0.1:1 -tenants 2 -depth 4", "-depth does not apply"},
+		{"stray argument", "-exp E1 E2", "unexpected argument"},
+	}
+	// Measuring moved to benchmark/: the flags of the removed modes are
+	// unknown, not ignored.
+	for _, f := range []string{"writers", "batch", "shards", "sync", "syncdelay", "dir", "serve",
+		"mode", "readers", "keys", "dist", "warm", "bits", "scanlen",
+		"baseline", "compare", "threshold-scale", "markdown"} {
+		cases = append(cases, struct{ name, args, wantErr string }{
+			"removed -" + f, "-" + f + "=1", "flag provided but not defined"})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			mode, err := validateFlags(tc.set)
+			_, err := parseFlags(strings.Fields(tc.args))
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
 				}
-				if mode != tc.wantMode {
-					t.Fatalf("mode = %q, want %q", mode, tc.wantMode)
-				}
 				return
 			}
-			if err == nil {
-				t.Fatalf("want error containing %q, got mode %q", tc.wantErr, mode)
-			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error %q does not contain %q", err, tc.wantErr)
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("error %v does not contain %q", err, tc.wantErr)
 			}
 		})
 	}
 }
 
-func TestEveryKnownFlagHasAHome(t *testing.T) {
-	// Guard against adding a flag to flagModes with an empty or unknown
-	// mode list — that would make it unusable everywhere.
-	valid := map[string]bool{
-		modeExperiments: true, modeWriters: true, modeNet: true,
-		modeRead: true, modeBaseline: true, modeCompare: true,
+// TestEveryFlagHasAHome: a flag either selects a job or is listed as
+// load-shaping, so the validator knows where it applies.
+func TestEveryFlagHasAHome(t *testing.T) {
+	home := map[string]bool{"exp": true, "scale": true, "addr": true}
+	for _, f := range addrOnly {
+		home[f] = true
 	}
-	for f, modes := range flagModes {
-		if len(modes) == 0 {
-			t.Errorf("flag -%s allows no modes", f)
+	defined := 0
+	newFlagSet(new(config)).VisitAll(func(f *flag.Flag) {
+		defined++
+		if !home[f.Name] {
+			t.Errorf("flag -%s belongs to neither job", f.Name)
 		}
-		for _, m := range modes {
-			if !valid[m] {
-				t.Errorf("flag -%s names unknown mode %q", f, m)
-			}
-		}
-	}
-	for f, m := range modeDeterminers {
-		if !valid[m] {
-			t.Errorf("determiner -%s names unknown mode %q", f, m)
-		}
+	})
+	if defined != len(home) {
+		t.Errorf("%d flags defined, %d have a home", defined, len(home))
 	}
 }

@@ -1,24 +1,20 @@
-// Command lsmbench regenerates the experiment tables of DESIGN.md §3:
-// one table per tutorial claim (E1–E13, plus the O1 trace-attribution
-// table built from /traces). It also carries the engine benchmarks that
-// feed the committed perf trajectory (BENCH_*.json): concurrent writes
-// through the group-commit pipeline, point-read/scan/mixed workloads
-// over a preloaded key space, and a regression comparator.
+// Command lsmbench does the two jobs nothing else in the repository
+// does: it regenerates the experiment tables of DESIGN.md §3 (one table
+// per claim: E1–E13, W1, N1, O1, O2), and it generates load against a
+// running lsmserved. It measures and compares no performance:
+// benchmark/ (bash benchmark/run.sh, BENCHMARK.json) is the one
+// instrument for that.
 //
 // Usage:
 //
-//	lsmbench -exp all            # run everything at full scale
-//	lsmbench -exp E1,E3 -scale 0.25
-//	lsmbench -writers 8 -ops 200000 -sync   # group-commit throughput
-//	lsmbench -mode get -readers 8 -keys 200000 -dist zipfian -warm  # read path
-//	lsmbench -serve -conns 8 -ops 100000 -sync   # same store, over TCP
-//	lsmbench -addr 127.0.0.1:4700 -conns 8       # against a live server
+//	lsmbench -exp all            # every table at full scale
+//	lsmbench -exp E1,W1 -scale 0.25
+//	lsmbench -addr 127.0.0.1:4700 -conns 8 -depth 4     # pipelined puts
 //	lsmbench -addr 127.0.0.1:4700 -replicas 127.0.0.1:4701 -conns 8  # + replica readback
-//	lsmbench -baseline -json BENCH_new.json      # pinned trajectory suite
-//	lsmbench -compare BENCH_0.json BENCH_1.json  # regression gate
+//	lsmbench -addr 127.0.0.1:4700 -tenants 2 -quota ops=200,burst=0.5  # overload isolation
 //
-// Flag combinations are validated up front: a flag that does not apply
-// to the selected mode is a usage error, never silently ignored.
+// A flag that does not apply to the selected job is a usage error, never
+// silently ignored.
 package main
 
 import (
@@ -26,274 +22,92 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"net"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
 
 	"lsmlab/internal/admission"
-	"lsmlab/internal/benchcmp"
 	"lsmlab/internal/client"
-	"lsmlab/internal/compaction"
-	"lsmlab/internal/core"
 	"lsmlab/internal/experiments"
 	"lsmlab/internal/metrics"
-	"lsmlab/internal/partition"
-	"lsmlab/internal/server"
-	"lsmlab/internal/vfs"
 	"lsmlab/internal/workload"
 )
 
 func main() {
-	var (
-		exp   = flag.String("exp", "all", "comma-separated experiment ids (E1..E13, O1) or 'all'")
-		scale = flag.Float64("scale", 1.0, "workload scale factor (1.0 = documented size)")
-
-		writers   = flag.Int("writers", 0, "run the concurrent write benchmark with this many writers")
-		ops       = flag.Int("ops", 100000, "total operations for writers/net/read modes")
-		valueSize = flag.Int("value", 100, "value size in bytes")
-		batchSize = flag.Int("batch", 1, "puts per Apply batch for -writers mode")
-		shards    = flag.Int("shards", 1, "run -writers against a store with this many hash-routed shards (1 = the flat single tree)")
-		syncWAL   = flag.Bool("sync", false, "fsync the WAL on every commit")
-		syncDelay = flag.Duration("syncdelay", 0, "modeled fsync latency on the in-memory fs (e.g. 100us)")
-		dir       = flag.String("dir", "", "OS directory (default: in-memory fs; real fsync latency needs a real disk)")
-
-		_        = flag.Bool("serve", false, "network mode: serve the bench store in-process and write over TCP")
-		addr     = flag.String("addr", "", "network mode: benchmark an external lsmserved at this address")
-		conns    = flag.Int("conns", 1, "network mode: number of client connections")
-		replicas = flag.String("replicas", "", "network mode: comma-separated follower addresses; after the put phase, reads fan out across them with read-your-writes enforced")
-		depth    = flag.Int("depth", 1, "network mode: pipelined requests in flight per connection (1 = synchronous)")
-		tenants  = flag.Int("tenants", 0, "network mode: overload bench with this many tenants; tenant t0 hammers at 4x quota, the rest stay under it")
-		quota    = flag.String("quota", "", "network mode: per-tenant quota 'ops=N[,bytes=N][,burst=SEC]' for -tenants (with -serve it is enforced in-process; with -addr it only sets the pacing targets)")
-
-		mode    = flag.String("mode", "", "read benchmark: get|scan|mixed over a preloaded key space")
-		readers = flag.Int("readers", 8, "read mode: concurrent reader goroutines")
-		keys    = flag.Int64("keys", 200000, "read mode: distinct keys preloaded before measuring")
-		dist    = flag.String("dist", "zipfian", "read mode: key popularity, uniform|zipfian")
-		warm    = flag.Bool("warm", true, "read mode: warm the block cache with one full pass before measuring")
-		bits    = flag.Float64("bits", 10, "read mode: bloom filter bits per key")
-		scanLen = flag.Int("scanlen", 16, "read mode: entries per scan (scan/mixed)")
-
-		_ = flag.Bool("baseline", false, "run the pinned perf-trajectory suite and write it to -json")
-
-		_              = flag.Bool("compare", false, "compare two BENCH_*.json files: lsmbench -compare old.json new.json")
-		thresholdScale = flag.Float64("threshold-scale", 1, "multiply -compare regression tolerances (CI uses 2)")
-		markdown       = flag.Bool("markdown", false, "render the -compare table as markdown")
-
-		jsonPath = flag.String("json", "", "write a machine-readable result summary to this file")
-	)
-	flag.Parse()
-
-	explicit := make(map[string]bool)
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	benchMode, err := validateFlags(explicit)
+	cfg, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "lsmbench: %v\n", err)
 		os.Exit(2)
 	}
-
-	switch benchMode {
-	case modeCompare:
-		args := flag.Args()
-		if len(args) != 2 {
-			fmt.Fprintln(os.Stderr, "lsmbench: -compare needs exactly two files: old.json new.json")
-			os.Exit(2)
-		}
-		failed, err := benchcmp.CompareFiles(args[0], args[1],
-			benchcmp.Options{Scale: *thresholdScale}, os.Stdout, *markdown)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lsmbench:", err)
-			os.Exit(2)
-		}
-		if failed {
-			os.Exit(1)
-		}
-		return
-
-	case modeBaseline:
-		if err := runBaseline(*jsonPath); err != nil {
-			fmt.Fprintln(os.Stderr, "lsmbench:", err)
-			os.Exit(1)
-		}
-		return
-
-	case modeNet:
-		if *quota != "" && *tenants <= 0 {
-			fmt.Fprintln(os.Stderr, "lsmbench: -quota requires -tenants")
-			os.Exit(2)
-		}
-		if *tenants > 0 {
-			for _, f := range []string{"conns", "depth", "replicas"} {
-				if explicit[f] {
-					fmt.Fprintf(os.Stderr, "lsmbench: -%s does not apply to the -tenants overload bench\n", f)
-					os.Exit(2)
-				}
-			}
-			if err := runNetTenants(*addr, *tenants, *quota, *ops, *valueSize, *syncWAL, *syncDelay, *dir, *jsonPath); err != nil {
-				fmt.Fprintln(os.Stderr, "lsmbench:", err)
-				os.Exit(1)
-			}
-			return
-		}
-		if err := runNet(*addr, *replicas, *conns, *ops, *valueSize, *depth, *syncWAL, *syncDelay, *dir, *jsonPath); err != nil {
-			fmt.Fprintln(os.Stderr, "lsmbench:", err)
-			os.Exit(1)
-		}
-		return
-
-	case modeWriters:
-		if *writers < 1 {
-			fmt.Fprintln(os.Stderr, "lsmbench: -writers must be at least 1")
-			os.Exit(2)
-		}
-		if err := runWriters(writersConfig{
-			writers: *writers, ops: *ops, valueSize: *valueSize, batchSize: *batchSize,
-			syncWAL: *syncWAL, syncDelay: *syncDelay, dir: *dir, shards: *shards,
-		}, *jsonPath); err != nil {
-			fmt.Fprintln(os.Stderr, "lsmbench:", err)
-			os.Exit(1)
-		}
-		return
-
-	case modeRead:
-		if err := runRead(readConfig{
-			mode: *mode, readers: *readers, ops: *ops, keys: *keys,
-			valueSize: *valueSize, dist: *dist, warm: *warm, bits: *bits,
-			scanLen: *scanLen, syncWAL: *syncWAL, dir: *dir,
-		}, *jsonPath); err != nil {
-			fmt.Fprintln(os.Stderr, "lsmbench:", err)
-			os.Exit(1)
-		}
-		return
+	switch {
+	case cfg.addr == "":
+		err = runExperiments(cfg.exp, experiments.Scale(cfg.scale))
+	case cfg.tenants > 0:
+		err = runNetTenants(cfg)
+	default:
+		err = runNet(cfg)
 	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lsmbench:", err)
+		os.Exit(1)
+	}
+}
 
+// runExperiments prints the table of every listed experiment and
+// reports failure after trying them all.
+func runExperiments(exp string, scale experiments.Scale) error {
 	var ids []string
-	if *exp == "all" {
+	if exp == "all" {
 		for _, e := range experiments.All() {
 			ids = append(ids, e.ID)
 		}
 	} else {
-		for _, id := range strings.Split(*exp, ",") {
+		for _, id := range strings.Split(exp, ",") {
 			ids = append(ids, strings.TrimSpace(id))
 		}
 	}
-
-	failed := false
+	failed := 0
 	for _, id := range ids {
 		start := time.Now()
-		tbl, err := experiments.Run(id, experiments.Scale(*scale))
+		tbl, err := experiments.Run(id, scale)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
-			failed = true
+			failed++
 			continue
 		}
 		tbl.Fprint(os.Stdout)
 		fmt.Printf("(%s completed in %.1fs)\n\n", id, time.Since(start).Seconds())
 	}
-	if failed {
-		os.Exit(1)
+	if failed > 0 {
+		return fmt.Errorf("%d experiment(s) failed", failed)
 	}
+	return nil
 }
 
-// benchResult is the machine-readable summary written by -json: the
-// numbers CI trend lines and the BENCH_*.json trajectory consume
-// without scraping the human output.
+// benchResult is the machine-readable summary of a load run written by
+// -json, so scripts need not scrape the human output.
 type benchResult struct {
-	Mode       string  `json:"mode"` // "writers", "net", "get", "scan", "mixed"
-	Writers    int     `json:"writers,omitempty"`
-	Shards     int     `json:"shards,omitempty"`
+	Mode       string  `json:"mode"` // "net", "net-tenants"
 	Conns      int     `json:"conns,omitempty"`
 	Depth      int     `json:"depth,omitempty"`
-	Readers    int     `json:"readers,omitempty"`
 	Ops        int     `json:"ops"`
 	ValueBytes int     `json:"value_bytes"`
-	BatchSize  int     `json:"batch_size,omitempty"`
-	SyncWAL    bool    `json:"sync_wal"`
-	KeySpace   int64   `json:"key_space,omitempty"`
-	Dist       string  `json:"dist,omitempty"`
-	WarmCache  bool    `json:"warm_cache,omitempty"`
-	FilterBits float64 `json:"filter_bits_per_key,omitempty"`
-	ScanLen    int     `json:"scan_len,omitempty"`
 	ElapsedSec float64 `json:"elapsed_sec"`
 	OpsPerSec  float64 `json:"ops_per_sec"`
 
-	// AllocsPerOp is the heap-allocation count per operation over the
-	// measured phase (runtime.ReadMemStats Mallocs delta / ops) — the
-	// CPU-side cost the zero-alloc get-path work drives down.
-	AllocsPerOp float64 `json:"allocs_per_op"`
-
-	// Primary-operation latency percentiles, nanoseconds (puts in
-	// writers/net mode, gets in get/mixed mode, scans in scan mode).
+	// Acknowledged-put latency percentiles, nanoseconds.
 	P50Ns  int64 `json:"p50_ns"`
 	P99Ns  int64 `json:"p99_ns"`
 	P999Ns int64 `json:"p999_ns"`
 	MaxNs  int64 `json:"max_ns"`
 
-	// Read modes: operation counts and access-path attribution for the
-	// measured phase only (interval deltas, not engine totals).
-	GetOps           int64   `json:"get_ops,omitempty"`
-	ScanOps          int64   `json:"scan_ops,omitempty"`
-	PutOps           int64   `json:"put_ops,omitempty"`
-	HitRate          float64 `json:"get_hit_rate,omitempty"`
-	FilterNegatives  int64   `json:"filter_negatives,omitempty"`
-	FilterFalsePos   int64   `json:"filter_false_positives,omitempty"`
-	CacheHits        int64   `json:"cache_hits,omitempty"`
-	CacheMisses      int64   `json:"cache_misses,omitempty"`
-	CacheHitRate     float64 `json:"cache_hit_rate,omitempty"`
-	BlockReads       int64   `json:"block_reads,omitempty"`
-	BlockReadsCached int64   `json:"block_reads_cached,omitempty"`
-
-	// Multi-tenant overload bench (-tenants): the enforced per-tenant
-	// quota and one row per tenant.
+	// Multi-tenant overload run (-tenants): the per-tenant quota the
+	// pacing assumed and one row per tenant.
 	QuotaOpsPerSec float64        `json:"quota_ops_per_sec,omitempty"`
 	Tenants        []tenantResult `json:"tenants,omitempty"`
-
-	// Engine-side totals (zero when benchmarking an external server).
-	WriteAmp           float64 `json:"write_amplification"`
-	ReadAmp            float64 `json:"read_amplification"`
-	BytesIngested      int64   `json:"bytes_ingested"`
-	WALBytes           int64   `json:"wal_bytes"`
-	FlushBytes         int64   `json:"flush_bytes"`
-	CompactionBytesOut int64   `json:"compaction_bytes_written"`
-	AvgCommitGroup     float64 `json:"avg_commit_group_size"`
-	WALSyncs           int64   `json:"wal_syncs"`
-	WALSyncsSaved      int64   `json:"wal_syncs_saved"`
-}
-
-// fillEngine copies the engine-side totals from a metrics snapshot.
-func (r *benchResult) fillEngine(m metrics.Snapshot) {
-	r.WriteAmp = m.WriteAmplification()
-	r.BytesIngested = m.BytesIngested
-	r.WALBytes = m.WALBytes
-	r.FlushBytes = m.FlushBytes
-	r.CompactionBytesOut = m.CompactionBytesWritten
-	r.AvgCommitGroup = m.AvgCommitGroupSize()
-	r.WALSyncs = m.WALSyncs
-	r.WALSyncsSaved = m.WALSyncsSaved
-	if r.ReadAmp == 0 {
-		r.ReadAmp = m.ReadAmplification()
-	}
-}
-
-// fillReadPath copies the access-path attribution from an interval
-// delta of the engine counters (measured phase only, excluding preload
-// and warmup).
-func (r *benchResult) fillReadPath(d metrics.Snapshot) {
-	r.ReadAmp = d.ReadAmplification()
-	r.HitRate = 0
-	if d.Gets > 0 {
-		r.HitRate = float64(d.GetHits) / float64(d.Gets)
-	}
-	r.FilterNegatives = d.FilterNegatives
-	r.FilterFalsePos = d.FilterFalsePos
-	r.CacheHits = d.CacheHits
-	r.CacheMisses = d.CacheMisses
-	r.CacheHitRate = d.CacheHitRate()
-	r.BlockReads = d.BlockReads
-	r.BlockReadsCached = d.BlockReadsCached
 }
 
 // fillLatency copies the percentile summary from a histogram snapshot.
@@ -309,156 +123,18 @@ func (r *benchResult) writeJSON(path string) error {
 	if path == "" {
 		return nil
 	}
-	return writeJSONFile(path, r)
-}
-
-func writeJSONFile(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
+	data, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// writersConfig parameterizes the concurrent write benchmark. The
-// shard/shape fields let the pinned baseline reproduce the sharded
-// scaling configuration exactly (see runBaseline).
-type writersConfig struct {
-	writers   int
-	ops       int
-	valueSize int
-	batchSize int
-	syncWAL   bool
-	syncDelay time.Duration
-	dir       string
-
-	shards       int   // shard count of the store (0 and 1 = the flat single tree)
-	bufferBytes  int   // 0 = engine default
-	sizeRatio    int   // 0 = engine default
-	leveled      bool  // force compaction.Leveling{}
-	compactionBW int64 // per-compaction write throttle, bytes/sec (0 = unthrottled)
-}
-
-// runWriters executes the write benchmark and writes the optional JSON
-// summary.
-func runWriters(cfg writersConfig, jsonPath string) error {
-	res, err := writersBench(cfg, os.Stdout)
-	if err != nil {
-		return err
-	}
-	return res.writeJSON(jsonPath)
-}
-
-// benchOptions places a bench store: in dir on the OS filesystem when
-// given (real fsync latency), else in memory with syncs that take
-// syncDelay.
-func benchOptions(dir string, syncWAL bool, syncDelay time.Duration) core.Options {
-	var fs vfs.FS = vfs.NewOS()
-	if dir == "" {
-		mem := vfs.NewMem()
-		mem.SetSyncDelay(syncDelay)
-		fs, dir = mem, "bench-db"
-	}
-	opts := core.DefaultOptions(fs, dir)
-	opts.SyncWAL = syncWAL
-	return opts
-}
-
-// writersBench drives cfg.writers goroutines over disjoint key ranges
-// through one store and reports aggregate throughput plus the commit
-// pipeline's coalescing statistics. The default in-memory filesystem
-// keeps the numbers about the engine; pass dir to pay real fsync
-// latency, which is where group commit coalesces hardest. With
-// cfg.shards > 1 each batch is split and committed through per-shard
-// pipelines.
-func writersBench(cfg writersConfig, w io.Writer) (benchResult, error) {
-	if cfg.batchSize < 1 {
-		cfg.batchSize = 1
-	}
-	opts := benchOptions(cfg.dir, cfg.syncWAL, cfg.syncDelay)
-	opts.RecordLatencies = true
-	if cfg.bufferBytes > 0 {
-		opts.BufferBytes = cfg.bufferBytes
-	}
-	if cfg.sizeRatio > 1 {
-		opts.SizeRatio = cfg.sizeRatio
-	}
-	if cfg.leveled {
-		opts.Layout = compaction.Leveling{}
-	}
-	if cfg.compactionBW > 0 {
-		opts.CompactionBandwidthBytesPerSec = cfg.compactionBW
-	}
-	db, err := partition.Open(opts, cfg.shards)
-	if err != nil {
-		return benchResult{}, err
-	}
-	defer db.Close()
-
-	perWriter := cfg.ops / cfg.writers
-	var wg sync.WaitGroup
-	errs := make([]error, cfg.writers)
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	start := time.Now()
-	for wr := 0; wr < cfg.writers; wr++ {
-		wg.Add(1)
-		go func(wr int) {
-			defer wg.Done()
-			val := make([]byte, cfg.valueSize)
-			base := int64(wr * perWriter)
-			var batch core.Batch
-			for i := 0; i < perWriter; i += cfg.batchSize {
-				batch.Reset()
-				for j := 0; j < cfg.batchSize && i+j < perWriter; j++ {
-					batch.Put(workload.Key(base+int64(i+j)), val)
-				}
-				if err := db.Apply(&batch); err != nil {
-					errs[wr] = err
-					return
-				}
-			}
-		}(wr)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&ms1)
-	for _, err := range errs {
-		if err != nil {
-			return benchResult{}, err
-		}
-	}
-
-	st := db.Stats()
-	m := st.Counters
-	total := perWriter * cfg.writers
-	fmt.Fprintf(w, "writers=%d ops=%d value=%dB batch=%d sync=%v shards=%d\n",
-		cfg.writers, total, cfg.valueSize, cfg.batchSize, cfg.syncWAL, cfg.shards)
-	fmt.Fprintf(w, "elapsed=%.2fs throughput=%.0f ops/s\n",
-		elapsed.Seconds(), float64(total)/elapsed.Seconds())
-	fmt.Fprintf(w, "commit_groups=%d batches=%d avg_group=%.2f wal_syncs=%d syncs_saved=%d\n",
-		m.CommitGroups, m.CommitBatches, m.AvgCommitGroupSize(),
-		m.WALSyncs, m.WALSyncsSaved)
-	if gs := st.Latency.GroupSize; gs.N > 0 {
-		fmt.Fprintf(w, "group size: n=%d mean=%.2f max=%d\n", gs.N, gs.Mean(), gs.Max)
-	}
-	res := benchResult{
-		Mode: "writers", Writers: cfg.writers, Shards: cfg.shards,
-		Ops: total, ValueBytes: cfg.valueSize,
-		BatchSize: cfg.batchSize, SyncWAL: cfg.syncWAL,
-		ElapsedSec: elapsed.Seconds(), OpsPerSec: float64(total) / elapsed.Seconds(),
-		AllocsPerOp: float64(ms1.Mallocs-ms0.Mallocs) / float64(total),
-	}
-	res.fillEngine(m)
-	res.fillLatency(st.Latency.Put)
-	return res, nil
-}
-
-// runNet measures put throughput over the wire: conns connections,
-// each keeping up to depth requests in flight. With -serve the store
-// and server run in this process (so engine coalescing stats are
-// reported too); with -addr the target is an external lsmserved.
-func runNet(addr, replicas string, conns, ops, valueSize, depth int, syncWAL bool, syncDelay time.Duration, dir, jsonPath string) error {
+// runNet measures put throughput against the lsmserved at cfg.addr:
+// cfg.conns connections, each keeping up to cfg.depth requests in
+// flight.
+func runNet(cfg config) error {
+	conns, depth := cfg.conns, cfg.depth
 	if conns < 1 {
 		conns = 1
 	}
@@ -466,38 +142,14 @@ func runNet(addr, replicas string, conns, ops, valueSize, depth int, syncWAL boo
 		depth = 1
 	}
 
-	var db *partition.Store
-	if addr == "" {
-		// -serve: host the bench store in-process, same defaults as
-		// -writers mode.
-		var err error
-		db, err = partition.Open(benchOptions(dir, syncWAL, syncDelay), 0)
-		if err != nil {
-			return err
-		}
-		defer db.Close()
-		srv := server.New(db, server.Options{})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		serveDone := make(chan error, 1)
-		go func() { serveDone <- srv.Serve(ln) }()
-		defer func() {
-			srv.Shutdown(10 * time.Second)
-			<-serveDone
-		}()
-		addr = ln.Addr().String()
-	}
-
-	cl, err := client.Dial(addr, client.Options{PoolSize: conns})
+	cl, err := client.Dial(cfg.addr, client.Options{PoolSize: conns})
 	if err != nil {
 		return err
 	}
 	defer cl.Close()
 
-	perConn := ops / conns
-	val := make([]byte, valueSize)
+	perConn := cfg.ops / conns
+	val := make([]byte, cfg.valueSize)
 	var wg sync.WaitGroup
 	errs := make([]error, conns)
 	var lat metrics.Histogram
@@ -555,35 +207,24 @@ func runNet(addr, replicas string, conns, ops, valueSize, depth int, syncWAL boo
 
 	total := perConn * conns
 	res := benchResult{
-		Mode: "net", Conns: conns, Depth: depth, Ops: total, ValueBytes: valueSize,
-		SyncWAL:    syncWAL,
+		Mode: "net", Conns: conns, Depth: depth, Ops: total, ValueBytes: cfg.valueSize,
 		ElapsedSec: elapsed.Seconds(), OpsPerSec: float64(total) / elapsed.Seconds(),
 	}
 	res.fillLatency(lat.Snapshot())
-	fmt.Printf("net conns=%d depth=%d ops=%d value=%dB sync=%v addr=%s\n",
-		conns, depth, total, valueSize, syncWAL, addr)
+	fmt.Printf("net conns=%d depth=%d ops=%d value=%dB addr=%s\n",
+		conns, depth, total, cfg.valueSize, cfg.addr)
 	fmt.Printf("elapsed=%.2fs throughput=%.0f ops/s\n",
 		elapsed.Seconds(), float64(total)/elapsed.Seconds())
 	fmt.Printf("put latency: %s\n", lat.Snapshot())
-	if replicas != "" {
-		if err := runReplicaReadback(addr, replicas, conns, total, valueSize); err != nil {
+	if cfg.replicas != "" {
+		if err := runReplicaReadback(cfg.addr, cfg.replicas, conns, total, cfg.valueSize); err != nil {
 			return err
 		}
 	}
-	if db != nil {
-		m := db.Metrics()
-		res.fillEngine(m)
-		fmt.Printf("commit_groups=%d batches=%d avg_group=%.2f wal_syncs=%d syncs_saved=%d\n",
-			m.CommitGroups, m.CommitBatches, m.AvgCommitGroupSize(),
-			m.WALSyncs, m.WALSyncsSaved)
-		if gs := db.Stats().Latency.GroupSize; gs.N > 0 {
-			fmt.Printf("group size: n=%d mean=%.2f max=%d\n", gs.N, gs.Mean(), gs.Max)
-		}
-	}
-	return res.writeJSON(jsonPath)
+	return res.writeJSON(cfg.jsonPath)
 }
 
-// tenantResult is one tenant's row in the -tenants overload bench:
+// tenantResult is one tenant's row in the -tenants overload run:
 // offered load, how much of it the server admitted, and the latency of
 // the admitted portion.
 type tenantResult struct {
@@ -605,13 +246,14 @@ type tenantResult struct {
 // every tenant writes into its own key-prefix namespace against the
 // same per-tenant quota, tenant t0 offering 4x its quota and the rest
 // staying at half of theirs. A healthy server throttles t0's excess
-// (with retry-after hints the bench surfaces rather than sleeps out —
+// (with retry-after hints the run surfaces rather than sleeps out —
 // retries are disabled so every rejection is counted) while the polite
-// tenants see no throttles at all. With -serve the quota is enforced by
-// an in-process admission controller; with -addr the target server's
-// own configuration must match the pacing quota for the numbers to
-// mean anything.
-func runNetTenants(addr string, tenants int, quotaSpec string, ops, valueSize int, syncWAL bool, syncDelay time.Duration, dir, jsonPath string) error {
+// tenants see no throttles at all. -quota only sets the pacing targets:
+// the server's own configuration must match it for the numbers to mean
+// anything.
+func runNetTenants(cfg config) error {
+	addr, tenants, ops, valueSize := cfg.addr, cfg.tenants, cfg.ops, cfg.valueSize
+	quotaSpec := cfg.quota
 	if quotaSpec == "" {
 		quotaSpec = "ops=200"
 	}
@@ -620,32 +262,7 @@ func runNetTenants(addr string, tenants int, quotaSpec string, ops, valueSize in
 		return fmt.Errorf("-quota: %w", err)
 	}
 	if q.OpsPerSec <= 0 {
-		return fmt.Errorf("-quota must set ops=N for the -tenants bench")
-	}
-
-	var db *partition.Store
-	if addr == "" {
-		// -serve: host the bench store in-process with the quota applied
-		// as the per-tenant default, so every tenant gets its own bucket.
-		db, err = partition.Open(benchOptions(dir, syncWAL, syncDelay), 0)
-		if err != nil {
-			return err
-		}
-		defer db.Close()
-		srv := server.New(db, server.Options{
-			Admission: admission.NewController(admission.Config{Default: q}),
-		})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		serveDone := make(chan error, 1)
-		go func() { serveDone <- srv.Serve(ln) }()
-		defer func() {
-			srv.Shutdown(10 * time.Second)
-			<-serveDone
-		}()
-		addr = ln.Addr().String()
+		return fmt.Errorf("-quota must set ops=N for the -tenants run")
 	}
 
 	// Offered rates: t0 hammers, everyone else stays comfortably under
@@ -744,8 +361,8 @@ func runNetTenants(addr string, tenants int, quotaSpec string, ops, valueSize in
 		total += r.Attempted
 		acked += r.Acked
 	}
-	fmt.Printf("net-tenants tenants=%d quota_ops=%.0f attempted=%d acked=%d value=%dB sync=%v addr=%s\n",
-		tenants, q.OpsPerSec, total, acked, valueSize, syncWAL, addr)
+	fmt.Printf("net-tenants tenants=%d quota_ops=%.0f attempted=%d acked=%d value=%dB addr=%s\n",
+		tenants, q.OpsPerSec, total, acked, valueSize, addr)
 	fmt.Printf("elapsed=%.2fs acked throughput=%.0f ops/s\n",
 		elapsed.Seconds(), float64(acked)/elapsed.Seconds())
 	for _, r := range results {
@@ -755,15 +372,12 @@ func runNetTenants(addr string, tenants int, quotaSpec string, ops, valueSize in
 	}
 
 	res := benchResult{
-		Mode: "net-tenants", Ops: total, ValueBytes: valueSize, SyncWAL: syncWAL,
+		Mode: "net-tenants", Ops: total, ValueBytes: valueSize,
 		ElapsedSec: elapsed.Seconds(), OpsPerSec: float64(acked) / elapsed.Seconds(),
 		QuotaOpsPerSec: q.OpsPerSec, Tenants: results,
 	}
 	res.fillLatency(agg.Snapshot())
-	if db != nil {
-		res.fillEngine(db.Metrics())
-	}
-	return res.writeJSON(jsonPath)
+	return res.writeJSON(cfg.jsonPath)
 }
 
 // runReplicaReadback reads the just-written key space back through the

@@ -4,10 +4,12 @@
 // is about; cmd/lsmbench prints them and EXPERIMENTS.md records the
 // measured shapes against the claims.
 //
-// All experiments run on an in-memory accounting filesystem with a
-// simulated SSD latency model, so results are deterministic and
+// The E and O experiments run on an in-memory accounting filesystem
+// with a simulated SSD latency model, so results are deterministic and
 // laptop-scale while preserving the read/write cost asymmetry the
-// claims depend on.
+// claims depend on. W1 and N1 are about wall-clock waiting (a sync that
+// takes time, shared or not), so they run on the plain in-memory
+// filesystem with a modelled sync delay and report wall-clock rates.
 package experiments
 
 import (
@@ -164,6 +166,8 @@ func All() []struct {
 		{"E11", E11DeletePersistence},
 		{"E12", E12CacheLeaper},
 		{"E13", E13Partitioning},
+		{"W1", W1GroupCommit},
+		{"N1", N1NetworkServing},
 		{"O1", O1TraceAttribution},
 		{"O2", O2WorkloadProfile},
 	}

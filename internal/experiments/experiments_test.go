@@ -267,3 +267,44 @@ func TestO2Shape(t *testing.T) {
 		}
 	}
 }
+
+// TestW1Shape: with a sync that costs something, eight writers must
+// share syncs (mean commit group > 1) and reach at least twice the
+// one-writer rate — the bar BenchmarkPutParallel and EXPERIMENTS.md W1
+// state.
+func TestW1Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("moderate-scale shape test")
+	}
+	tbl, err := W1GroupCommit(0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, eight := findRow(t, tbl, "1"), findRow(t, tbl, "8")
+	if g := cell(t, tbl, eight, "avg_group"); g <= 1 {
+		t.Errorf("8 writers must coalesce: mean commit group %.2f", g)
+	}
+	if r1, r8 := cell(t, tbl, one, "ops_per_s"), cell(t, tbl, eight, "ops_per_s"); r8 < 2*r1 {
+		t.Errorf("8 writers reach %.0f ops/s, want >= 2x the 1-writer %.0f", r8, r1)
+	}
+}
+
+// TestN1Shape: eight synchronous connections must reach at least twice
+// one connection's rate by sharing commit groups — the same bar as the
+// server's own TestNetworkWritesFeedCommitGroups.
+func TestN1Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("moderate-scale shape test")
+	}
+	tbl, err := N1NetworkServing(0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, eight := findRow(t, tbl, "1"), findRow(t, tbl, "8")
+	if g := cell(t, tbl, eight, "net_group"); g <= 1 {
+		t.Errorf("8 connections must coalesce: mean commit group %.2f", g)
+	}
+	if r1, r8 := cell(t, tbl, one, "net_ops_per_s"), cell(t, tbl, eight, "net_ops_per_s"); r8 < 2*r1 {
+		t.Errorf("8 connections reach %.0f ops/s, want >= 2x one connection's %.0f", r8, r1)
+	}
+}

@@ -2,6 +2,8 @@ package sstable
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -201,5 +203,18 @@ func TestPropertyRangeTombstonesRoundtrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRangeTombstonesHostileLengths: a checksummed block whose counts
+// the bytes cannot hold is ErrCorrupt, never a panic.
+func TestRangeTombstonesHostileLengths(t *testing.T) {
+	for name, buf := range map[string][]byte{
+		"count 2^62":        binary.AppendUvarint(nil, 1<<62),
+		"start length 2^63": append(binary.AppendUvarint(binary.AppendUvarint(nil, 1), 1<<63), "padding"...),
+	} {
+		if _, err := decodeRangeTombstones(buf); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
 	}
 }

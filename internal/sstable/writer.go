@@ -381,10 +381,14 @@ func decodeRangeTombstones(buf []byte) ([]kv.RangeTombstone, error) {
 	if off <= 0 {
 		return nil, fmt.Errorf("%w: rangedel block", ErrCorrupt)
 	}
+	// A tombstone is at least three bytes (two length prefixes + seq).
+	if n > uint64(len(buf)-off)/3 {
+		return nil, fmt.Errorf("%w: rangedel block", ErrCorrupt)
+	}
 	ts := make([]kv.RangeTombstone, 0, n)
 	readBytes := func() ([]byte, bool) {
 		l, m := binary.Uvarint(buf[off:])
-		if m <= 0 || off+m+int(l) > len(buf) {
+		if m <= 0 || l > uint64(len(buf)-off-m) {
 			return nil, false
 		}
 		off += m

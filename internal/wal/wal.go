@@ -78,6 +78,11 @@ func decodeBatch(payload []byte) (Batch, error) {
 		return b, ErrCorrupt
 	}
 	off += n
+	// An op is at least three bytes (kind + two length prefixes), so a
+	// count the payload cannot hold is damage, not a reason to allocate.
+	if count > uint64(len(payload)-off)/3 {
+		return b, ErrCorrupt
+	}
 	b.Ops = make([]Op, 0, count)
 	for i := uint64(0); i < count; i++ {
 		if off >= len(payload) {
@@ -87,7 +92,7 @@ func decodeBatch(payload []byte) (Batch, error) {
 		off++
 		for _, dst := range []*[]byte{&op.Key, &op.Value} {
 			l, n := binary.Uvarint(payload[off:])
-			if n <= 0 || off+n+int(l) > len(payload) {
+			if n <= 0 || l > uint64(len(payload)-off-n) {
 				return b, ErrCorrupt
 			}
 			off += n
