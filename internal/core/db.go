@@ -238,7 +238,6 @@ func Open(opts Options) (*DB, error) {
 		timeOps:   opts.EventListener != nil || opts.RecordLatencies,
 	}
 	db.cond = sync.NewCond(&db.mu)
-	db.commit.init()
 	db.stSink = statsSink{&db.m}
 	if !opts.DisableProfiler {
 		db.prof = newProfiler(&db.m, opts.NumLevels, opts.ProfileWindowOps)

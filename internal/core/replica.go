@@ -63,15 +63,8 @@ func (db *DB) applyOps(ops []wal.Op) error {
 	if err := db.degradedErr(); err != nil {
 		return err
 	}
-	req := &commitRequest{userOps: ops, ops: ops, donePub: make(chan struct{})}
-	if db.commit.enqueue(req) {
-		db.commitLead(req)
-	} else {
-		<-req.wake
-		if req.isLeader {
-			db.commitLead(req)
-		}
-	}
+	req := &commitRequest{userOps: ops, ops: ops}
+	db.commitJoin(req)
 	if !req.registered {
 		return req.err
 	}

@@ -212,9 +212,9 @@ func (v Stats) Text(verbose bool) string {
 	b.WriteString(s.String())
 	fmt.Fprintf(&b, "\nspace_amp=%.2f disk=%d bytes cache_hit=%.2f throttle_ms=%d",
 		v.SpaceAmp, v.DiskBytes, s.CacheHitRate(), s.ThrottleNs/1e6)
-	fmt.Fprintf(&b, "\nblock_reads=%d (cached %d) commit_groups=%d avg_group=%.2f wal_syncs=%d syncs_saved=%d",
+	fmt.Fprintf(&b, "\nblock_reads=%d (cached %d) commit_groups=%d avg_group=%.2f wal_syncs=%d syncs_saved=%d linger_ms=%d linger_timeouts=%d",
 		s.BlockReads, s.BlockReadsCached, s.CommitGroups, s.AvgCommitGroupSize(),
-		s.WALSyncs, s.WALSyncsSaved)
+		s.WALSyncs, s.WALSyncsSaved, s.CommitLingerNs/1e6, s.CommitLingerTimeouts)
 	// Health is always one line: operators grep for "degraded=" and a
 	// background error is visible the moment it happens, not at Close.
 	// Injected errors carry op+path (faultfs.OpError, os.PathError), so

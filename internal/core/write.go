@@ -231,15 +231,8 @@ func (db *DB) apply(b *Batch, traceID uint64) error {
 	if sp != nil {
 		tCommit = db.opts.NowNs()
 	}
-	req := &commitRequest{userOps: b.ops, ops: ops, donePub: make(chan struct{})}
-	if db.commit.enqueue(req) {
-		db.commitLead(req)
-	} else {
-		<-req.wake
-		if req.isLeader {
-			db.commitLead(req)
-		}
-	}
+	req := &commitRequest{userOps: b.ops, ops: ops}
+	db.commitJoin(req)
 	if !req.registered {
 		// The group failed before sequence assignment (stall abort or
 		// background error); nothing to apply or publish.
@@ -250,7 +243,11 @@ func (db *DB) apply(b *Batch, traceID uint64) error {
 	var tApply int64
 	if sp != nil {
 		tApply = db.opts.NowNs()
-		sp.StageSince("commit", tCommit, tApply)
+		// Only the leader lingered; a member's wait for it is commit time.
+		if req.lingerNs > 0 {
+			sp.Stage("linger", req.lingerNs)
+		}
+		sp.Stage("commit", tApply-tCommit-req.lingerNs)
 		sp.AddStallNs(req.stallNs)
 		sp.SetBatches(req.groupN)
 	}

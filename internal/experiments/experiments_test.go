@@ -268,10 +268,11 @@ func TestO2Shape(t *testing.T) {
 	}
 }
 
-// TestW1Shape: with a sync that costs something, eight writers must
-// share syncs (mean commit group > 1) and reach at least twice the
-// one-writer rate — the bar BenchmarkPutParallel and EXPERIMENTS.md W1
-// state.
+// TestW1Shape: with a sync that costs something, eight closed-loop
+// writers must share nearly every sync (mean commit group >= 6: the
+// leader lingers for the members the last sync just acknowledged) and
+// reach at least five times the one-writer rate — the bar
+// EXPERIMENTS.md W1 states.
 func TestW1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("moderate-scale shape test")
@@ -281,11 +282,11 @@ func TestW1Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	one, eight := findRow(t, tbl, "1"), findRow(t, tbl, "8")
-	if g := cell(t, tbl, eight, "avg_group"); g <= 1 {
-		t.Errorf("8 writers must coalesce: mean commit group %.2f", g)
+	if g := cell(t, tbl, eight, "avg_group"); g < 6 {
+		t.Errorf("8 writers must share syncs: mean commit group %.2f, want >= 6", g)
 	}
-	if r1, r8 := cell(t, tbl, one, "ops_per_s"), cell(t, tbl, eight, "ops_per_s"); r8 < 2*r1 {
-		t.Errorf("8 writers reach %.0f ops/s, want >= 2x the 1-writer %.0f", r8, r1)
+	if r1, r8 := cell(t, tbl, one, "ops_per_s"), cell(t, tbl, eight, "ops_per_s"); r8 < 5*r1 {
+		t.Errorf("8 writers reach %.0f ops/s, want >= 5x the 1-writer %.0f", r8, r1)
 	}
 }
 

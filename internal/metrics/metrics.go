@@ -26,6 +26,10 @@ type Metrics struct {
 	CommitBatches atomic.Int64 // batches committed across all groups
 	WALSyncs      atomic.Int64 // WAL syncs issued (one per group under SyncWAL)
 	WALSyncsSaved atomic.Int64 // syncs avoided by group coalescing (group size - 1 each)
+	// A leader lingers before claiming while writers that shared the
+	// last sync are still on their way back (core/commit.go).
+	CommitLingerNs       atomic.Int64 // time leaders spent lingering
+	CommitLingerTimeouts atomic.Int64 // lingers that ended by timeout (the peer estimate was wrong)
 
 	// Read path.
 	Gets            atomic.Int64 // user point lookups
@@ -125,6 +129,7 @@ type Snapshot struct {
 	Puts, Deletes, BytesIngested, WALBytes        int64
 	CommitGroups, CommitBatches                   int64
 	WALSyncs, WALSyncsSaved                       int64
+	CommitLingerNs, CommitLingerTimeouts          int64
 	Gets, GetHits, Scans, ScanEntries, RunsProbed int64
 	FilterProbes, FilterNegatives, FilterFalsePos int64
 	Flushes, FlushBytes, Compactions              int64

@@ -42,6 +42,8 @@ var Counters = []Desc{
 	{"commit_batches_total", "Batches committed across all groups.", Counter, func(m *Metrics) *atomic.Int64 { return &m.CommitBatches }, func(s *Snapshot) *int64 { return &s.CommitBatches }},
 	{"wal_syncs_total", "WAL syncs issued.", Counter, func(m *Metrics) *atomic.Int64 { return &m.WALSyncs }, func(s *Snapshot) *int64 { return &s.WALSyncs }},
 	{"wal_syncs_saved_total", "Syncs avoided by group coalescing.", Counter, func(m *Metrics) *atomic.Int64 { return &m.WALSyncsSaved }, func(s *Snapshot) *int64 { return &s.WALSyncsSaved }},
+	{"commit_linger_ns_total", "Time commit leaders waited for expected peers before claiming.", Counter, func(m *Metrics) *atomic.Int64 { return &m.CommitLingerNs }, func(s *Snapshot) *int64 { return &s.CommitLingerNs }},
+	{"commit_linger_timeouts_total", "Leader lingers that timed out (the peer estimate was wrong).", Counter, func(m *Metrics) *atomic.Int64 { return &m.CommitLingerTimeouts }, func(s *Snapshot) *int64 { return &s.CommitLingerTimeouts }},
 
 	// Read path.
 	{"gets_total", "User point lookups.", Counter, func(m *Metrics) *atomic.Int64 { return &m.Gets }, func(s *Snapshot) *int64 { return &s.Gets }},

@@ -42,6 +42,11 @@ type conn struct {
 	// wdead is closed when the write goroutine dies early (write
 	// timeout or error), unblocking a reader mid-send.
 	wdead chan struct{}
+
+	// handleWrites' per-fold scratch, one entry per folded frame; made
+	// on the connection's first write, MaxBatchOps long.
+	dones   []func(error)
+	tenants []string
 }
 
 func newConn(s *Server, nc net.Conn) *conn {
@@ -509,10 +514,12 @@ func (c *conn) handleWrites(op byte, payload []byte, batch *core.Batch, tc trace
 		done(err)
 		return c.respondErr(wire.StatusBadRequest, err)
 	}
-	dones := make([]func(error), 0, 8)
-	dones = append(dones, done)
-	tenants := make([]string, 0, 8)
-	tenants = append(tenants, tenant)
+	if c.dones == nil {
+		c.dones = make([]func(error), 0, c.s.opts.MaxBatchOps)
+		c.tenants = make([]string, 0, c.s.opts.MaxBatchOps)
+	}
+	dones := append(c.dones[:0], done)
+	tenants := append(c.tenants[:0], tenant)
 	// A traced write is never folded with its neighbors: its span (and
 	// echoed duration) must describe exactly the one request the client
 	// asked about. Group commit still coalesces the WAL writes below.

@@ -13,8 +13,9 @@
 # (benchmark/calibration.txt: never two sets run apart). A workload with
 # an "unresolved (spread > bound)" row is run for ten more pairs once; a
 # row that stays unresolved is printed as such, not passed silently.
-# The final table is left in bench_gate.txt. A regression or a missing
-# row is a non-zero exit.
+# The final table is left in bench_gate.txt, followed by ops_per_s pair
+# by pair (a claimed gain has to win nine pairs of ten, which medians do
+# not show). A regression or a missing row is a non-zero exit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 repo="$PWD"
@@ -91,4 +92,10 @@ if [ -n "$unresolved" ]; then
         grep unresolved bench_gate.txt
     fi
 fi
+
+# ops_per_s of each pair, and who won it.
+jq -rs '(.[0].runs | map({key: "\(.workload) \(.seed)", value: .metrics.ops_per_s.value}) | from_entries) as $parent
+    | .[1].runs[] | .metrics.ops_per_s.value as $change | $parent["\(.workload) \(.seed)"] as $p
+    | "\(.workload) pair \(.seed): parent \($p | round) change \($change | round) \(if $change > $p then "change" else "parent" end)"' \
+    "$work/parent.json" "$work/change.json" | sort -s -k1,1 -k3,3n | tee -a bench_gate.txt
 exit "$status"
