@@ -69,13 +69,24 @@ torture:
 torture-repl:
 	TORTURE_REPL_ITERS=50 $(GO) test ./internal/replica -race -run TestReplicationTortureConvergence -count=1 -v
 
-# Short fuzz runs over the decoders of outside bytes: the wire-protocol
-# codec (CI runs 30s), the store descriptor (16 bytes; 10s) and the WAL
-# frame + batch decoder a follower runs on shipped bytes (10s).
+# Short fuzz runs over every decoder of outside bytes: the wire-protocol
+# codec (CI runs 30s), the store descriptor (16 bytes; 10s), the WAL
+# frame + batch decoder a follower runs on shipped bytes (10s), then 5s
+# each for the decoders of bytes at rest — record framing and sealing,
+# the manifest snapshot, sstable blocks (with iteration), properties and
+# range tombstones, the value-log record and the replication state.
+# Each target's seed corpus also runs under plain `go test`.
 fuzz-wire:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 30s
 	$(GO) test ./internal/partition -run '^$$' -fuzz FuzzDecodeDescriptor -fuzztime 10s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s
+	$(GO) test ./internal/record -run '^$$' -fuzz FuzzRecord -fuzztime 5s
+	$(GO) test ./internal/manifest -run '^$$' -fuzz FuzzDecodeState -fuzztime 5s
+	$(GO) test ./internal/sstable -run '^$$' -fuzz FuzzDecodeBlock -fuzztime 5s
+	$(GO) test ./internal/sstable -run '^$$' -fuzz FuzzDecodeProperties -fuzztime 5s
+	$(GO) test ./internal/sstable -run '^$$' -fuzz FuzzDecodeRangeTombstones -fuzztime 5s
+	$(GO) test ./internal/wisckey -run '^$$' -fuzz FuzzParseRecord -fuzztime 5s
+	$(GO) test ./internal/replica -run '^$$' -fuzz FuzzDecodeState -fuzztime 5s
 
 # Coverage over the engine packages: per-package summary (the `ok`
 # lines), then a blocking floor on the combined total. CI fails the

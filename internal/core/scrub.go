@@ -34,7 +34,8 @@ type ScrubReport struct {
 	// block bytes whose checksums were recomputed.
 	Tables     int
 	TableBytes int64
-	// VlogSegments counts the value-log segments structurally verified.
+	// VlogSegments counts the value-log segments whose record checksums
+	// were recomputed.
 	VlogSegments int
 	// ManifestOK reports the manifest verification result.
 	ManifestOK bool
@@ -55,8 +56,7 @@ func (r ScrubReport) String() string {
 
 // Scrub walks every live sstable (recomputing every data-block
 // checksum, bypassing the block cache), every value-log segment
-// (structural validation — vlog records carry no checksum), and the
-// manifest. Corrupt sstables are quarantined: dropped from the live
+// (every record's checksum), and the manifest. Corrupt sstables are quarantined: dropped from the live
 // version (committed to the manifest) and renamed aside with a
 // ".corrupt" suffix so the evidence survives while reads stop routing
 // through the damage. Scrub runs concurrently with reads, writes, and
@@ -101,9 +101,8 @@ func (db *DB) Scrub() (ScrubReport, error) {
 		}
 	}
 
-	// Value-log segments: structural only (records carry no checksum;
-	// the documented WiscKey trade-off). Damage is reported, never
-	// quarantined — pointers into a renamed segment would all break.
+	// Value-log segments. Damage is reported, never quarantined —
+	// pointers into a renamed segment would all break.
 	if db.vlog != nil {
 		for _, num := range db.vlog.SegmentNums() {
 			rep.VlogSegments++

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -10,6 +13,7 @@ import (
 	"lsmlab/internal/manifest"
 	"lsmlab/internal/vfs"
 	"lsmlab/internal/vfs/faultfs"
+	"lsmlab/internal/wisckey"
 )
 
 // TestScrubCleanTree checks that a healthy tree scrubs clean and the
@@ -275,6 +279,105 @@ func TestScrubDetectsVlogDamage(t *testing.T) {
 	}
 	if rep.VlogSegments != len(segs) {
 		t.Fatalf("vlog segments scanned = %d, want %d", rep.VlogSegments, len(segs))
+	}
+}
+
+// TestScrubRereadsPinnedBlocks: bit rot in the index block of a table
+// whose reader is already open — its index pinned in memory since Open —
+// is found and quarantined by Scrub, not trusted from the pinned copy.
+// Real files, because the damage must reach the open handle.
+func TestScrubRereadsPinnedBlocks(t *testing.T) {
+	dir := t.TempDir()
+	opts := DefaultOptions(vfs.NewOS(), dir)
+	opts.BufferBytes = 4 << 10
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for i := 0; i < 40; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("k%03d", i)), make([]byte, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	db.WaitIdle()
+	for i := 0; i < 40; i++ { // open every table's reader
+		if _, err := db.Get([]byte(fmt.Sprintf("k%03d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var victim uint64
+	for num := range db.Version().LiveFileNums() {
+		victim = num
+		break
+	}
+	path := vfs.Join(dir, manifest.FileName(victim))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The footer's first handle (88 bytes from the end) is the index block.
+	index := int64(binary.LittleEndian.Uint64(raw[len(raw)-88:]))
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.WriteAt([]byte{raw[index+1] ^ 0xff}, index+1)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := db.Scrub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Findings) != 1 || rep.Findings[0].Path != manifest.FileName(victim) || !rep.Findings[0].Quarantined {
+		t.Fatalf("scrub after an index-block flip: %s", rep)
+	}
+}
+
+// TestVlogBitFlipDetected: a bit flipped at rest inside a separated
+// value makes Get fail with the value log's ErrCorrupt instead of
+// returning the damaged bytes, and Scrub reports the segment.
+func TestVlogBitFlipDetected(t *testing.T) {
+	base := vfs.NewMem()
+	ffs := faultfs.New(base, 5)
+	opts := DefaultOptions(ffs, "db")
+	opts.ValueSeparationThreshold = 64
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	value := bytes.Repeat([]byte("v"), 200)
+	if err := db.Put([]byte("big"), value); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := db.Get([]byte("big")); err != nil || !bytes.Equal(got, value) {
+		t.Fatalf("clean get: %v", err)
+	}
+	seg := db.vlog.SegmentNums()[0]
+	// Frame header, the two length varints (1 and 2 bytes), the key, then
+	// 100 bytes into the value.
+	if err := ffs.FlipBit(vfs.Join("db", manifest.VLogName(seg)), 8*(8+1+2+3+100)); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := db.Get([]byte("big")); !errors.Is(err, wisckey.ErrCorrupt) {
+		t.Fatalf("get of a flipped value = %d bytes, %v; want wisckey.ErrCorrupt", len(got), err)
+	}
+	rep, err := db.Scrub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Findings) != 1 || rep.Findings[0].Path != manifest.VLogName(seg) || rep.Findings[0].Quarantined {
+		t.Fatalf("scrub after a value flip: %s", rep)
 	}
 }
 

@@ -305,7 +305,7 @@ func TestStoreRewriteCompacts(t *testing.T) {
 	if !statesEqual(makeState(10), rec) {
 		t.Fatal("rewrite lost state")
 	}
-	single := int64(len(encodeState(makeState(10))) + 8)
+	single := int64(len(encodeFrame(makeState(10))))
 	if sz != single {
 		t.Errorf("manifest %d bytes, want single snapshot %d", sz, single)
 	}

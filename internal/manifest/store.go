@@ -4,14 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 
 	"lsmlab/internal/kv"
+	"lsmlab/internal/record"
 	"lsmlab/internal/vfs"
 )
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorrupt reports a damaged manifest.
 var ErrCorrupt = errors.New("manifest: corrupt")
@@ -25,9 +22,9 @@ type State struct {
 	LastSeq     kv.SeqNum
 }
 
-// encodeState serializes a full state snapshot.
-func encodeState(s *State) []byte {
-	var buf []byte
+// encodeFrame serializes a full state snapshot as one framed record.
+func encodeFrame(s *State) []byte {
+	buf := record.StartFrame(nil)
 	buf = binary.AppendUvarint(buf, s.NextFileNum)
 	buf = binary.AppendUvarint(buf, uint64(s.LastSeq))
 	buf = binary.AppendUvarint(buf, uint64(len(s.Version.Levels)))
@@ -38,8 +35,10 @@ func encodeState(s *State) []byte {
 			for _, f := range r.Files {
 				buf = binary.AppendUvarint(buf, f.Num)
 				buf = binary.AppendUvarint(buf, f.Size)
-				buf = appendBytes(buf, f.Smallest)
-				buf = appendBytes(buf, f.Largest)
+				buf = binary.AppendUvarint(buf, uint64(len(f.Smallest)))
+				buf = append(buf, f.Smallest...)
+				buf = binary.AppendUvarint(buf, uint64(len(f.Largest)))
+				buf = append(buf, f.Largest...)
 				buf = binary.AppendUvarint(buf, uint64(f.SmallestSeq))
 				buf = binary.AppendUvarint(buf, uint64(f.LargestSeq))
 				buf = binary.AppendUvarint(buf, f.NumEntries)
@@ -49,98 +48,43 @@ func encodeState(s *State) []byte {
 			}
 		}
 	}
+	record.FinishFrame(buf)
 	return buf
 }
 
-func appendBytes(buf, b []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(b)))
-	return append(buf, b...)
-}
+// minFileBytes is the smallest encoding of a FileMeta: ten varints.
+const minFileBytes = 10
 
-type decoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.err = ErrCorrupt
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		d.err = ErrCorrupt
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) bytes() []byte {
-	l := int(d.uvarint())
-	if d.err != nil {
-		return nil
-	}
-	if d.off+l > len(d.buf) {
-		d.err = ErrCorrupt
-		return nil
-	}
-	b := append([]byte(nil), d.buf[d.off:d.off+l]...)
-	d.off += l
-	return b
-}
-
-func decodeState(buf []byte) (*State, error) {
-	d := &decoder{buf: buf}
-	s := &State{}
-	s.NextFileNum = d.uvarint()
-	s.LastSeq = kv.SeqNum(d.uvarint())
-	nLevels := int(d.uvarint())
-	if d.err != nil || nLevels > 64 {
+func decodeState(payload []byte) (*State, error) {
+	d := record.NewDecoder(payload)
+	s := &State{NextFileNum: d.Uvarint(), LastSeq: kv.SeqNum(d.Uvarint())}
+	nLevels := d.Count(1)
+	if d.Corrupt() || nLevels > 64 {
 		return nil, ErrCorrupt
 	}
 	s.Version = NewVersion(nLevels)
-	for li := 0; li < nLevels; li++ {
-		nRuns := int(d.uvarint())
-		for ri := 0; ri < nRuns; ri++ {
-			nFiles := int(d.uvarint())
+	for li := range s.Version.Levels {
+		for nRuns := d.Count(1); nRuns > 0; nRuns-- {
 			r := &Run{}
-			for fi := 0; fi < nFiles; fi++ {
-				f := &FileMeta{
-					Num:      d.uvarint(),
-					Size:     d.uvarint(),
-					Smallest: d.bytes(),
-					Largest:  d.bytes(),
-				}
-				f.SmallestSeq = kv.SeqNum(d.uvarint())
-				f.LargestSeq = kv.SeqNum(d.uvarint())
-				f.NumEntries = d.uvarint()
-				f.NumTombstones = d.uvarint()
-				f.NumRangeDels = d.uvarint()
-				f.OldestTombstoneNs = d.varint()
-				r.Files = append(r.Files, f)
-			}
-			if d.err != nil {
-				return nil, d.err
+			for nFiles := d.Count(minFileBytes); nFiles > 0; nFiles-- {
+				r.Files = append(r.Files, &FileMeta{
+					Num:               d.Uvarint(),
+					Size:              d.Uvarint(),
+					Smallest:          append([]byte(nil), d.Bytes()...),
+					Largest:           append([]byte(nil), d.Bytes()...),
+					SmallestSeq:       kv.SeqNum(d.Uvarint()),
+					LargestSeq:        kv.SeqNum(d.Uvarint()),
+					NumEntries:        d.Uvarint(),
+					NumTombstones:     d.Uvarint(),
+					NumRangeDels:      d.Uvarint(),
+					OldestTombstoneNs: d.Varint(),
+				})
 			}
 			s.Version.Levels[li].Runs = append(s.Version.Levels[li].Runs, r)
 		}
 	}
-	if d.err != nil {
-		return nil, d.err
+	if d.Corrupt() {
+		return nil, ErrCorrupt
 	}
 	return s, nil
 }
@@ -197,39 +141,21 @@ func OpenStore(fs vfs.FS, path string) (*Store, *State, error) {
 }
 
 // replayLast scans the append-only manifest and returns the last valid
-// snapshot, ignoring a torn tail.
+// snapshot: it stops at the first frame that is incomplete, fails its
+// checksum or does not decode, wherever it is.
 func replayLast(f vfs.File) (*State, error) {
-	size, err := f.Size()
-	if err != nil {
-		return nil, err
-	}
-	var off int64
 	var last *State
-	hdr := make([]byte, 8)
-	for off+8 <= size {
-		if _, err := f.ReadAt(hdr, off); err != nil && err != io.EOF {
-			return nil, err
-		}
-		length := int64(binary.LittleEndian.Uint32(hdr[:4]))
-		wantCRC := binary.LittleEndian.Uint32(hdr[4:8])
-		if off+8+length > size {
-			break // torn tail
-		}
-		payload := make([]byte, length)
-		if _, err := f.ReadAt(payload, off+8); err != nil && err != io.EOF {
-			return nil, err
-		}
-		if crc32.Checksum(payload, crcTable) != wantCRC {
-			break // torn or corrupt tail: stop at last good snapshot
-		}
+	_, _, err := record.Scan(f, func(_ int64, payload []byte) error {
 		s, err := decodeState(payload)
-		if err != nil {
-			break
+		if err == nil {
+			last = s
 		}
-		last = s
-		off += 8 + length
+		return err
+	})
+	if errors.Is(err, ErrCorrupt) {
+		err = nil
 	}
-	return last, nil
+	return last, err
 }
 
 // Commit durably appends a snapshot of s. After a failed Commit the
@@ -246,11 +172,7 @@ func (st *Store) Commit(s *State) error {
 		st.dirty = false
 		return nil
 	}
-	payload := encodeState(s)
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-	copy(frame[8:], payload)
+	frame := encodeFrame(s)
 	if _, err := st.f.Write(frame); err != nil {
 		st.dirty = true
 		return err
@@ -276,11 +198,7 @@ func (st *Store) rewrite(s *State) error {
 	}
 	var frame []byte
 	if s != nil {
-		payload := encodeState(s)
-		frame = make([]byte, 8+len(payload))
-		binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-		copy(frame[8:], payload)
+		frame = encodeFrame(s)
 	}
 	err := vfs.WriteFileAtomic(st.fs, st.path, frame)
 	if err != nil {
@@ -308,36 +226,20 @@ func Verify(fs vfs.FS, path string) error {
 		return err
 	}
 	defer f.Close()
-	size, err := f.Size()
-	if err != nil {
-		return err
-	}
-	var off int64
 	valid := 0
-	hdr := make([]byte, 8)
-	for off+8 <= size {
-		if _, err := f.ReadAt(hdr, off); err != nil && err != io.EOF {
-			return err
-		}
-		length := int64(binary.LittleEndian.Uint32(hdr[:4]))
-		wantCRC := binary.LittleEndian.Uint32(hdr[4:8])
-		if off+8+length > size {
-			break // torn tail: tolerated
-		}
-		payload := make([]byte, length)
-		if _, err := f.ReadAt(payload, off+8); err != nil && err != io.EOF {
-			return err
-		}
-		if crc32.Checksum(payload, crcTable) != wantCRC {
-			return fmt.Errorf("%w: bad frame checksum at offset %d", ErrCorrupt, off)
-		}
+	off, st, err := record.Scan(f, func(off int64, payload []byte) error {
 		if _, err := decodeState(payload); err != nil {
 			return fmt.Errorf("%w: undecodable frame at offset %d", ErrCorrupt, off)
 		}
 		valid++
-		off += 8 + length
-	}
-	if valid == 0 {
+		return nil
+	})
+	switch {
+	case err != nil:
+		return err
+	case st == record.CorruptTail || st == record.Corrupt:
+		return fmt.Errorf("%w: bad frame checksum at offset %d", ErrCorrupt, off)
+	case valid == 0:
 		return fmt.Errorf("%w: no valid snapshot in %s", ErrCorrupt, path)
 	}
 	return nil

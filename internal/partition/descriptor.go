@@ -5,14 +5,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
+	"lsmlab/internal/record"
 	"lsmlab/internal/vfs"
 )
 
 // The store descriptor is the one durable record of a sharded store's
-// shard count: a 16-byte file at the store root,
+// shard count: a 16-byte file at the store root, the sealed record
 //
 //	magic "LSMSHRD1" | count uint32 LE | CRC-32C(magic|count) uint32 LE
 //
@@ -27,11 +27,8 @@ const (
 	maxShards = 1 << 16
 )
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 func encodeDescriptor(n int) []byte {
-	b := binary.LittleEndian.AppendUint32([]byte(descriptorMagic), uint32(n))
-	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
+	return record.Seal(binary.LittleEndian.AppendUint32([]byte(descriptorMagic), uint32(n)))
 }
 
 // decodeDescriptor returns the shard count b names: b must be exactly

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -14,6 +13,7 @@ import (
 
 	"lsmlab/internal/core"
 	"lsmlab/internal/kv"
+	"lsmlab/internal/record"
 	"lsmlab/internal/vfs"
 	"lsmlab/internal/wal"
 	"lsmlab/internal/wire"
@@ -633,80 +633,68 @@ func (r *Receiver) ackLoop() {
 // Replication state file
 
 // stateName is the follower's replication state file: the applied
-// leader-sequence vector, CRC-protected. It lives in the store
-// directory; the engine's directory scans are suffix-filtered, so it is
-// invisible to them. A missing or damaged file degrades to "nothing
-// applied", which is safe: the next session starts with repair.
+// leader-sequence vector as one sealed record,
+//
+//	magic "LSMREPL1" | count uvarint | count × seq uvarint | CRC-32C u32 LE
+//
+// It lives in the store directory; the engine's directory scans are
+// suffix-filtered, so it is invisible to them. A missing or damaged file
+// degrades to "nothing applied", which is safe: the next session starts
+// with repair.
 const stateName = "REPL"
 
-var stateMagic = []byte("LSMREPL1")
+const stateMagic = "LSMREPL1"
 
-var stateCRCTable = crc32.MakeTable(crc32.Castagnoli)
-
-// persist writes the applied vector durably.
-func (r *Receiver) persist(vec []uint64) error {
-	r.stateMu.Lock()
-	defer r.stateMu.Unlock()
-	buf := append([]byte(nil), stateMagic...)
-	buf = binary.AppendUvarint(buf, uint64(len(vec)))
+func encodeState(vec []uint64) []byte {
+	buf := binary.AppendUvarint([]byte(stateMagic), uint64(len(vec)))
 	for _, s := range vec {
 		buf = binary.AppendUvarint(buf, s)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, stateCRCTable))
-	f, err := r.opts.FS.Create(vfs.Join(r.opts.Dir, stateName))
-	if err != nil {
-		return err
+	return record.Seal(buf)
+}
+
+// decodeState returns the vector of n sequences sealed encodes, with
+// each entry at least the sentinel 1; ok is false for any other bytes.
+func decodeState(sealed []byte, n int) (vec []uint64, ok bool) {
+	payload, ok := record.Unseal(sealed)
+	if !ok || !bytes.HasPrefix(payload, []byte(stateMagic)) {
+		return nil, false
 	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return err
+	d := record.NewDecoder(payload[len(stateMagic):])
+	if d.Count(1) != n {
+		return nil, false
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+	vec = make([]uint64, n)
+	for i := range vec {
+		vec[i] = max(d.Uvarint(), 1)
 	}
-	return f.Close()
+	return vec, !d.Corrupt()
+}
+
+// persist writes the applied vector durably and atomically.
+func (r *Receiver) persist(vec []uint64) error {
+	r.stateMu.Lock()
+	defer r.stateMu.Unlock()
+	return vfs.WriteFileAtomic(r.opts.FS, vfs.Join(r.opts.Dir, stateName), encodeState(vec))
 }
 
 // loadState reads the persisted applied vector, returning sentinel 1s
 // (nothing applied) for a missing, damaged, or mis-sized file.
 func loadState(fs vfs.FS, dir string, n int) []uint64 {
+	if f, err := fs.Open(vfs.Join(dir, stateName)); err == nil {
+		defer f.Close()
+		if size, err := f.Size(); err == nil && size <= 1<<20 {
+			buf := make([]byte, size)
+			if _, err := f.ReadAt(buf, 0); err == nil {
+				if vec, ok := decodeState(buf, n); ok {
+					return vec
+				}
+			}
+		}
+	}
 	vec := make([]uint64, n)
 	for i := range vec {
 		vec[i] = 1
-	}
-	f, err := fs.Open(vfs.Join(dir, stateName))
-	if err != nil {
-		return vec
-	}
-	defer f.Close()
-	size, err := f.Size()
-	if err != nil || size < int64(len(stateMagic))+5 || size > 1<<20 {
-		return vec
-	}
-	buf := make([]byte, size)
-	if _, err := f.ReadAt(buf, 0); err != nil {
-		return vec
-	}
-	body, crc := buf[:len(buf)-4], binary.LittleEndian.Uint32(buf[len(buf)-4:])
-	if !bytes.HasPrefix(body, stateMagic) || crc32.Checksum(body, stateCRCTable) != crc {
-		return vec
-	}
-	p := body[len(stateMagic):]
-	count, off := binary.Uvarint(p)
-	if off <= 0 || count != uint64(n) {
-		return vec
-	}
-	p = p[off:]
-	for i := 0; i < n; i++ {
-		s, off := binary.Uvarint(p)
-		if off <= 0 {
-			return vec
-		}
-		if s > 1 {
-			vec[i] = s
-		}
-		p = p[off:]
 	}
 	return vec
 }

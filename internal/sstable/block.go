@@ -3,17 +3,17 @@
 // data blocks, followed by a fence-pointer index block (the smallest and
 // largest key of every block, realized as per-block separator keys), an
 // optional Bloom filter block, an optional range-tombstone block, a
-// properties block, and a fixed-size footer. Every block carries a
-// CRC-32C checksum.
+// properties block, and a fixed-size footer. Every block is a sealed
+// record of internal/record: its bytes followed by their CRC-32C.
 package sstable
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 
 	"lsmlab/internal/kv"
+	"lsmlab/internal/record"
 )
 
 // DefaultBlockSize is the target uncompressed size of a data block. It
@@ -24,8 +24,6 @@ const DefaultBlockSize = 4096
 // block. Keys between restarts are delta-encoded against their
 // predecessor.
 const restartInterval = 16
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorrupt is returned when a block or footer fails validation.
 var ErrCorrupt = errors.New("sstable: corrupt table")
@@ -87,8 +85,8 @@ func (b *blockBuilder) add(key, value []byte) {
 }
 
 // finish serializes the block: payload, restart array, restart count,
-// CRC. The returned slice aliases the builder and is invalidated by
-// reset.
+// sealed with its CRC. The returned slice aliases the builder and is
+// invalidated by reset.
 func (b *blockBuilder) finish() []byte {
 	if len(b.restarts) == 0 {
 		b.restarts = append(b.restarts, 0)
@@ -96,9 +94,7 @@ func (b *blockBuilder) finish() []byte {
 	for _, r := range b.restarts {
 		b.buf = binary.LittleEndian.AppendUint32(b.buf, r)
 	}
-	b.buf = binary.LittleEndian.AppendUint32(b.buf, uint32(len(b.restarts)))
-	crc := crc32.Checksum(b.buf, crcTable)
-	b.buf = binary.LittleEndian.AppendUint32(b.buf, crc)
+	b.buf = record.Seal(binary.LittleEndian.AppendUint32(b.buf, uint32(len(b.restarts))))
 	return b.buf
 }
 
@@ -113,9 +109,8 @@ func decodeBlock(raw []byte) (*block, error) {
 	if len(raw) < 12 {
 		return nil, fmt.Errorf("%w: block too short (%d bytes)", ErrCorrupt, len(raw))
 	}
-	payload := raw[:len(raw)-4]
-	wantCRC := binary.LittleEndian.Uint32(raw[len(raw)-4:])
-	if crc32.Checksum(payload, crcTable) != wantCRC {
+	payload, ok := record.Unseal(raw)
+	if !ok {
 		return nil, fmt.Errorf("%w: block checksum mismatch", ErrCorrupt)
 	}
 	nRestarts := int(binary.LittleEndian.Uint32(payload[len(payload)-4:]))
@@ -164,7 +159,9 @@ func (it *blockIterator) reset(b *block) {
 
 // readEntryAt decodes the entry at off, using it.key as the
 // delta-decoding context (it must hold the previous key unless off is a
-// restart point, where shared is 0).
+// restart point, where shared is 0). It is the per-entry hot loop, so it
+// decodes inline rather than through record.Decoder, comparing lengths
+// as uint64 so no prefix can overflow an int.
 func (it *blockIterator) readEntryAt(off int) bool {
 	data := it.b.data
 	if off >= len(data) {
@@ -187,12 +184,12 @@ func (it *blockIterator) readEntryAt(off int) bool {
 		return false
 	}
 	keyStart := off + n1 + n2 + n3
-	valStart := keyStart + int(unshared)
-	end := valStart + int(valLen)
-	if int(shared) > len(it.key) || end > len(data) {
+	if rest := uint64(len(data) - keyStart); shared > uint64(len(it.key)) || unshared > rest || valLen > rest-unshared {
 		it.corrupt()
 		return false
 	}
+	valStart := keyStart + int(unshared)
+	end := valStart + int(valLen)
 	it.key = append(it.key[:shared], data[keyStart:valStart]...)
 	it.value = data[valStart:end]
 	it.offset = off

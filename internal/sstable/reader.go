@@ -6,6 +6,7 @@ import (
 
 	"lsmlab/internal/bloom"
 	"lsmlab/internal/kv"
+	"lsmlab/internal/record"
 	"lsmlab/internal/vfs"
 )
 
@@ -122,6 +123,9 @@ func Open(f vfs.File, opts ReaderOptions) (*Reader, error) {
 }
 
 func (r *Reader) readRaw(h blockHandle) ([]byte, error) {
+	if h.offset > uint64(r.fileSize) || h.length > uint64(r.fileSize)-h.offset {
+		return nil, fmt.Errorf("%w: block handle %d+%d past the end of the file", ErrCorrupt, h.offset, h.length)
+	}
 	buf := make([]byte, h.length)
 	if _, err := r.f.ReadAt(buf, int64(h.offset)); err != nil {
 		return nil, err
@@ -134,7 +138,11 @@ func (r *Reader) readRawUnwrapped(h blockHandle) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return unwrapRaw(raw)
+	payload, ok := record.Unseal(raw)
+	if !ok {
+		return nil, fmt.Errorf("%w: raw block checksum", ErrCorrupt)
+	}
+	return payload, nil
 }
 
 // readDataBlock fetches a data block through the cache, reporting to
@@ -352,21 +360,25 @@ func (r *Reader) WarmRange(start, end []byte, budget int64) int64 {
 	return loaded
 }
 
-// VerifyChecksums reads every data block of the table directly from
-// the file — bypassing the block cache, so at-rest corruption cannot
-// hide behind a clean cached copy — and validates each block's
-// checksum and structure. The pinned blocks (index, filter, range
-// tombstones, properties) were already verified at Open. It returns
-// the bytes verified and the first corruption found.
+// VerifyChecksums re-reads the table from the file as Open does — the
+// footer and the pinned blocks (index, filter, range tombstones,
+// properties), so damage since Open cannot hide behind the copies the
+// reader holds — then every data block, bypassing the block cache, and
+// validates each block's checksum and structure. It returns the data
+// bytes verified and the first corruption found.
 func (r *Reader) VerifyChecksums() (int64, error) {
-	idx := newBlockIterator(r.index)
+	fresh, err := Open(r.f, ReaderOptions{})
+	if err != nil {
+		return 0, err
+	}
+	idx := newBlockIterator(fresh.index)
 	var verified int64
 	for ok := idx.First(); ok; ok = idx.Next() {
 		h, err := decodeHandle(idx.Value())
 		if err != nil {
 			return verified, err
 		}
-		raw, err := r.readRaw(h)
+		raw, err := fresh.readRaw(h)
 		if err != nil {
 			return verified, fmt.Errorf("block at %d: %w", h.offset, err)
 		}

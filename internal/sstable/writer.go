@@ -4,10 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 
 	"lsmlab/internal/bloom"
 	"lsmlab/internal/kv"
+	"lsmlab/internal/record"
 	"lsmlab/internal/vfs"
 )
 
@@ -69,45 +69,22 @@ func (p Properties) encode() []byte {
 }
 
 func decodeProperties(buf []byte) (Properties, error) {
-	var p Properties
-	fields := []*uint64{
-		&p.NumEntries, &p.NumTombstones, &p.NumRangeDels,
-		&p.RawKeyBytes, &p.RawValueBytes, &p.NumDataBlocks,
+	d := record.NewDecoder(buf)
+	p := Properties{
+		NumEntries:        d.Uvarint(),
+		NumTombstones:     d.Uvarint(),
+		NumRangeDels:      d.Uvarint(),
+		RawKeyBytes:       d.Uvarint(),
+		RawValueBytes:     d.Uvarint(),
+		NumDataBlocks:     d.Uvarint(),
+		SmallestSeq:       kv.SeqNum(d.Uvarint()),
+		LargestSeq:        kv.SeqNum(d.Uvarint()),
+		OldestTombstoneNs: d.Varint(),
+		Smallest:          append([]byte(nil), d.Bytes()...),
+		Largest:           append([]byte(nil), d.Bytes()...),
 	}
-	off := 0
-	for _, f := range fields {
-		v, n := binary.Uvarint(buf[off:])
-		if n <= 0 {
-			return p, fmt.Errorf("%w: properties", ErrCorrupt)
-		}
-		*f = v
-		off += n
-	}
-	sseq, n := binary.Uvarint(buf[off:])
-	if n <= 0 {
-		return p, fmt.Errorf("%w: properties", ErrCorrupt)
-	}
-	off += n
-	lseq, n := binary.Uvarint(buf[off:])
-	if n <= 0 {
-		return p, fmt.Errorf("%w: properties", ErrCorrupt)
-	}
-	off += n
-	p.SmallestSeq, p.LargestSeq = kv.SeqNum(sseq), kv.SeqNum(lseq)
-	ts, n := binary.Varint(buf[off:])
-	if n <= 0 {
-		return p, fmt.Errorf("%w: properties", ErrCorrupt)
-	}
-	p.OldestTombstoneNs = ts
-	off += n
-	for _, dst := range []*[]byte{&p.Smallest, &p.Largest} {
-		l, n := binary.Uvarint(buf[off:])
-		if n <= 0 || off+n+int(l) > len(buf) {
-			return p, fmt.Errorf("%w: properties", ErrCorrupt)
-		}
-		off += n
-		*dst = append([]byte(nil), buf[off:off+int(l)]...)
-		off += int(l)
+	if d.Corrupt() {
+		return Properties{}, fmt.Errorf("%w: properties", ErrCorrupt)
 	}
 	return p, nil
 }
@@ -311,19 +288,19 @@ func (w *Writer) Finish() (Properties, error) {
 
 	var filterHandle blockHandle
 	if filter := bloom.New(w.hashes, w.opts.BitsPerKey); len(filter) > 0 {
-		if filterHandle, err = w.writeBlock(wrapRaw(filter)); err != nil {
+		if filterHandle, err = w.writeBlock(record.Seal(filter)); err != nil {
 			return Properties{}, err
 		}
 	}
 
 	var rangeDelHandle blockHandle
 	if len(w.rangeTs) > 0 {
-		if rangeDelHandle, err = w.writeBlock(wrapRaw(encodeRangeTombstones(w.rangeTs))); err != nil {
+		if rangeDelHandle, err = w.writeBlock(record.Seal(encodeRangeTombstones(w.rangeTs))); err != nil {
 			return Properties{}, err
 		}
 	}
 
-	propsHandle, err := w.writeBlock(wrapRaw(w.props.encode()))
+	propsHandle, err := w.writeBlock(record.Seal(w.props.encode()))
 	if err != nil {
 		return Properties{}, err
 	}
@@ -344,25 +321,6 @@ func (w *Writer) Finish() (Properties, error) {
 	return w.props, nil
 }
 
-// wrapRaw frames an opaque byte payload as a CRC-protected block.
-func wrapRaw(payload []byte) []byte {
-	out := append([]byte(nil), payload...)
-	crc := crc32.Checksum(out, crcTable)
-	return binary.LittleEndian.AppendUint32(out, crc)
-}
-
-// unwrapRaw validates and strips the CRC from an opaque block.
-func unwrapRaw(raw []byte) ([]byte, error) {
-	if len(raw) < 4 {
-		return nil, fmt.Errorf("%w: raw block too short", ErrCorrupt)
-	}
-	payload := raw[:len(raw)-4]
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(raw[len(raw)-4:]) {
-		return nil, fmt.Errorf("%w: raw block checksum", ErrCorrupt)
-	}
-	return payload, nil
-}
-
 func encodeRangeTombstones(ts []kv.RangeTombstone) []byte {
 	var buf []byte
 	buf = binary.AppendUvarint(buf, uint64(len(ts)))
@@ -377,40 +335,18 @@ func encodeRangeTombstones(ts []kv.RangeTombstone) []byte {
 }
 
 func decodeRangeTombstones(buf []byte) ([]kv.RangeTombstone, error) {
-	n, off := binary.Uvarint(buf)
-	if off <= 0 {
+	d := record.NewDecoder(buf)
+	// A tombstone is at least three bytes: two length prefixes and seq.
+	ts := make([]kv.RangeTombstone, d.Count(3))
+	for i := range ts {
+		ts[i] = kv.RangeTombstone{
+			Start: append([]byte(nil), d.Bytes()...),
+			End:   append([]byte(nil), d.Bytes()...),
+			Seq:   kv.SeqNum(d.Uvarint()),
+		}
+	}
+	if d.Corrupt() {
 		return nil, fmt.Errorf("%w: rangedel block", ErrCorrupt)
-	}
-	// A tombstone is at least three bytes (two length prefixes + seq).
-	if n > uint64(len(buf)-off)/3 {
-		return nil, fmt.Errorf("%w: rangedel block", ErrCorrupt)
-	}
-	ts := make([]kv.RangeTombstone, 0, n)
-	readBytes := func() ([]byte, bool) {
-		l, m := binary.Uvarint(buf[off:])
-		if m <= 0 || l > uint64(len(buf)-off-m) {
-			return nil, false
-		}
-		off += m
-		b := append([]byte(nil), buf[off:off+int(l)]...)
-		off += int(l)
-		return b, true
-	}
-	for i := uint64(0); i < n; i++ {
-		start, ok := readBytes()
-		if !ok {
-			return nil, fmt.Errorf("%w: rangedel block", ErrCorrupt)
-		}
-		end, ok := readBytes()
-		if !ok {
-			return nil, fmt.Errorf("%w: rangedel block", ErrCorrupt)
-		}
-		seq, m := binary.Uvarint(buf[off:])
-		if m <= 0 {
-			return nil, fmt.Errorf("%w: rangedel block", ErrCorrupt)
-		}
-		off += m
-		ts = append(ts, kv.RangeTombstone{Start: start, End: end, Seq: kv.SeqNum(seq)})
 	}
 	return ts, nil
 }

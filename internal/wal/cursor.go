@@ -1,15 +1,14 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sort"
 	"strconv"
 	"strings"
 
+	"lsmlab/internal/record"
 	"lsmlab/internal/vfs"
 )
 
@@ -141,21 +140,28 @@ func (c *Cursor) Next() (Batch, []byte, error) {
 				return Batch{}, nil, io.EOF
 			}
 		}
-		frame, err := c.readFrame()
-		if err == nil {
-			b, derr := decodeBatch(frame[8:])
-			if derr != nil {
+		size, err := c.f.Size()
+		if err != nil {
+			return Batch{}, nil, err
+		}
+		frame, st, err := record.ReadFrame(c.f, c.off, size, c.scratch)
+		c.scratch = frame
+		switch {
+		case err != nil:
+			return Batch{}, nil, err
+		case st == record.Corrupt:
+			return Batch{}, nil, fmt.Errorf("%w in %s at offset %d", ErrCorrupt, c.name, c.off)
+		case st == record.Complete:
+			b, err := decodeBatch(frame[record.HeaderLen:])
+			if err != nil {
 				return Batch{}, nil, fmt.Errorf("%w in %s at offset %d", ErrCorrupt, c.name, c.off)
 			}
 			c.off += int64(len(frame))
 			return b, frame, nil
 		}
-		if err != io.EOF {
-			return Batch{}, nil, err
-		}
-		// Incomplete (or torn) at the current position: if a newer
-		// segment exists this one is sealed and finished — advance;
-		// otherwise we are tailing the live segment.
+		// Incomplete, or a bad checksum on the segment's final bytes (a
+		// torn tail): if a newer segment exists this one is sealed and
+		// finished — advance; otherwise we are tailing the live segment.
 		switch aerr := c.advance(); aerr {
 		case nil:
 			continue
@@ -165,47 +171,6 @@ func (c *Cursor) Next() (Batch, []byte, error) {
 			return Batch{}, nil, aerr
 		}
 	}
-}
-
-// readFrame reads one complete frame at the current offset. io.EOF
-// means the frame is not (yet) complete; ErrCorrupt means a bad
-// checksum that cannot be a torn tail once a newer segment exists —
-// the caller resolves which by whether it can advance.
-func (c *Cursor) readFrame() ([]byte, error) {
-	size, err := c.f.Size()
-	if err != nil {
-		return nil, err
-	}
-	if size-c.off < 8 {
-		return nil, io.EOF
-	}
-	hdr := make([]byte, 8)
-	if _, err := c.f.ReadAt(hdr, c.off); err != nil && err != io.EOF {
-		return nil, err
-	}
-	length := int64(binary.LittleEndian.Uint32(hdr[:4]))
-	wantCRC := binary.LittleEndian.Uint32(hdr[4:8])
-	if c.off+8+length > size {
-		return nil, io.EOF
-	}
-	if cap(c.scratch) < int(8+length) {
-		c.scratch = make([]byte, 8+length)
-	}
-	frame := c.scratch[:8+length]
-	copy(frame, hdr)
-	if _, err := c.f.ReadAt(frame[8:], c.off+8); err != nil && err != io.EOF {
-		return nil, err
-	}
-	if crc32.Checksum(frame[8:], crcTable) != wantCRC {
-		// A bad CRC on the final bytes of the segment is a torn tail
-		// (report io.EOF so the caller waits or advances); anywhere
-		// else it is real damage.
-		if c.off+8+length == size {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("%w in %s at offset %d", ErrCorrupt, c.name, c.off)
-	}
-	return frame, nil
 }
 
 // Pos reports the cursor's current segment number and byte offset

@@ -4,18 +4,18 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"testing"
 
 	"lsmlab/internal/kv"
+	"lsmlab/internal/record"
 )
 
 // frameOf wraps a payload in a valid header: the CRC matches, so only
 // the payload decoder stands between these bytes and the caller.
 func frameOf(payload []byte) []byte {
-	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, crcTable))
-	return append(frame, payload...)
+	frame := append(record.StartFrame(nil), payload...)
+	record.FinishFrame(frame)
+	return frame
 }
 
 // hugeCountFrame claims 2^62 ops in a two-byte body.

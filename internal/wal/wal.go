@@ -1,27 +1,22 @@
 // Package wal implements the write-ahead log that makes the in-memory
 // buffer durable (tutorial §2.1.1 A: batched ingestion). Writes are
-// grouped into batches; each batch is framed as
-//
-//	length (4 bytes LE) | crc32c (4 bytes LE) | payload
-//
-// and the payload encodes a base sequence number followed by the
-// batch's operations. Recovery replays complete records and stops at
-// the first torn or corrupt frame, which is the correct crash semantics
-// for a log whose tail write may have been interrupted.
+// grouped into batches; each batch is one framed record of
+// internal/record (length | crc32c | payload) whose payload encodes a
+// base sequence number followed by the batch's operations. Recovery
+// replays complete records and stops at the first torn or corrupt frame,
+// which is the correct crash semantics for a log whose tail write may
+// have been interrupted.
 package wal
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 
 	"lsmlab/internal/kv"
+	"lsmlab/internal/record"
 	"lsmlab/internal/vfs"
 )
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorrupt reports a damaged (non-tail) log structure.
 var ErrCorrupt = errors.New("wal: corrupt record")
@@ -45,12 +40,12 @@ type Batch struct {
 func (b *Batch) LastSeq() kv.SeqNum { return b.Seq + kv.SeqNum(len(b.Ops)) - 1 }
 
 // appendFrame encodes the batch's frame (header + payload) onto buf and
-// returns the extended slice. The length and CRC are backfilled once the
-// payload is in place, so a group of batches can be framed into one
-// contiguous buffer without intermediate allocations.
+// returns the extended slice. The header is backfilled once the payload
+// is in place, so a group of batches can be framed into one contiguous
+// buffer without intermediate allocations.
 func (b *Batch) appendFrame(buf []byte) []byte {
 	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // header placeholder
+	buf = record.StartFrame(buf)
 	buf = binary.AppendUvarint(buf, uint64(b.Seq))
 	buf = binary.AppendUvarint(buf, uint64(len(b.Ops)))
 	for _, op := range b.Ops {
@@ -60,46 +55,24 @@ func (b *Batch) appendFrame(buf []byte) []byte {
 		buf = binary.AppendUvarint(buf, uint64(len(op.Value)))
 		buf = append(buf, op.Value...)
 	}
-	payload := buf[start+8:]
-	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, crcTable))
+	record.FinishFrame(buf[start:])
 	return buf
 }
 
 func decodeBatch(payload []byte) (Batch, error) {
-	var b Batch
-	seq, off := binary.Uvarint(payload)
-	if off <= 0 {
-		return b, ErrCorrupt
-	}
-	b.Seq = kv.SeqNum(seq)
-	count, n := binary.Uvarint(payload[off:])
-	if n <= 0 {
-		return b, ErrCorrupt
-	}
-	off += n
-	// An op is at least three bytes (kind + two length prefixes), so a
-	// count the payload cannot hold is damage, not a reason to allocate.
-	if count > uint64(len(payload)-off)/3 {
-		return b, ErrCorrupt
-	}
-	b.Ops = make([]Op, 0, count)
-	for i := uint64(0); i < count; i++ {
-		if off >= len(payload) {
-			return b, ErrCorrupt
+	d := record.NewDecoder(payload)
+	b := Batch{Seq: kv.SeqNum(d.Uvarint())}
+	// An op is at least three bytes: kind and two length prefixes.
+	b.Ops = make([]Op, d.Count(3))
+	for i := range b.Ops {
+		b.Ops[i] = Op{
+			Kind:  kv.Kind(d.Byte()),
+			Key:   append([]byte(nil), d.Bytes()...),
+			Value: append([]byte(nil), d.Bytes()...),
 		}
-		op := Op{Kind: kv.Kind(payload[off])}
-		off++
-		for _, dst := range []*[]byte{&op.Key, &op.Value} {
-			l, n := binary.Uvarint(payload[off:])
-			if n <= 0 || l > uint64(len(payload)-off-n) {
-				return b, ErrCorrupt
-			}
-			off += n
-			*dst = append([]byte(nil), payload[off:off+int(l)]...)
-			off += int(l)
-		}
-		b.Ops = append(b.Ops, op)
+	}
+	if d.Corrupt() {
+		return Batch{}, ErrCorrupt
 	}
 	return b, nil
 }
@@ -111,15 +84,8 @@ func decodeBatch(payload []byte) (Batch, error) {
 // short frame, a length or CRC mismatch, an undecodable payload — is
 // ErrCorrupt.
 func DecodeFrame(frame []byte) (Batch, error) {
-	if len(frame) < 8 {
-		return Batch{}, ErrCorrupt
-	}
-	length := int(binary.LittleEndian.Uint32(frame[:4]))
-	if len(frame) != 8+length {
-		return Batch{}, ErrCorrupt
-	}
-	payload := frame[8:]
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(frame[4:8]) {
+	payload, ok := record.Unframe(frame)
+	if !ok {
 		return Batch{}, ErrCorrupt
 	}
 	return decodeBatch(payload)
@@ -176,44 +142,15 @@ func (w *Writer) Size() int64 { return w.offset }
 // each in order. A torn tail (truncated or corrupt final record) ends
 // replay without error; corruption before the tail is reported.
 func Replay(f vfs.File, fn func(Batch) error) error {
-	size, err := f.Size()
-	if err != nil {
-		return err
-	}
-	var off int64
-	hdr := make([]byte, 8)
-	for off < size {
-		if size-off < 8 {
-			return nil // torn header at tail
-		}
-		if _, err := f.ReadAt(hdr, off); err != nil && err != io.EOF {
-			return err
-		}
-		length := int64(binary.LittleEndian.Uint32(hdr[:4]))
-		wantCRC := binary.LittleEndian.Uint32(hdr[4:8])
-		if off+8+length > size {
-			return nil // torn payload at tail
-		}
-		payload := make([]byte, length)
-		if _, err := f.ReadAt(payload, off+8); err != nil && err != io.EOF {
-			return err
-		}
-		if crc32.Checksum(payload, crcTable) != wantCRC {
-			// A bad CRC on the final record is a torn tail; earlier it is
-			// real corruption.
-			if off+8+length == size {
-				return nil
-			}
-			return fmt.Errorf("%w at offset %d", ErrCorrupt, off)
-		}
+	off, st, err := record.Scan(f, func(off int64, payload []byte) error {
 		batch, err := decodeBatch(payload)
 		if err != nil {
 			return fmt.Errorf("%w at offset %d: %v", ErrCorrupt, off, err)
 		}
-		if err := fn(batch); err != nil {
-			return err
-		}
-		off += 8 + length
+		return fn(batch)
+	})
+	if err == nil && st == record.Corrupt {
+		err = fmt.Errorf("%w at offset %d", ErrCorrupt, off)
 	}
-	return nil
+	return err
 }

@@ -3,7 +3,9 @@
 // log, and the LSM-tree stores only small pointer entries. Compactions
 // then move pointers instead of payloads, cutting write amplification
 // roughly by the value/key size ratio; the log is garbage-collected by
-// re-appending still-live values and dropping dead files.
+// re-appending still-live values and dropping dead files. Every record
+// is a framed record of internal/record, so a read, the garbage
+// collector and the scrubber all check its CRC-32C.
 package wisckey
 
 import (
@@ -16,6 +18,7 @@ import (
 	"strings"
 	"sync"
 
+	"lsmlab/internal/record"
 	"lsmlab/internal/vfs"
 )
 
@@ -29,7 +32,7 @@ const PointerLen = 20
 type Pointer struct {
 	FileNum uint64
 	Offset  uint64
-	Length  uint32 // total record length
+	Length  uint32 // the whole framed record, header included
 }
 
 // Encode serializes the pointer (fixed 20 bytes).
@@ -56,7 +59,8 @@ func DecodePointer(buf []byte) (Pointer, error) {
 // DefaultFileSize is the log segment size that triggers rotation.
 const DefaultFileSize = 16 << 20
 
-// Log is the append-only value log. Records are
+// Log is the append-only value log. A record is one framed record
+// (length | crc32c | payload) whose payload is
 //
 //	keyLen (uvarint) | valueLen (uvarint) | key | value
 //
@@ -129,7 +133,7 @@ func (l *Log) rotateLocked(num uint64) error {
 		}
 		l.sizes[l.activeNum] = l.offset
 	}
-	f, err := l.fs.Create(vfs.Join(l.dir, fmt.Sprintf("%06d.vlog", num)))
+	f, err := l.fs.Create(l.path(num))
 	if err != nil {
 		return err
 	}
@@ -140,37 +144,37 @@ func (l *Log) rotateLocked(num uint64) error {
 	return nil
 }
 
+func (l *Log) path(num uint64) string { return vfs.Join(l.dir, fmt.Sprintf("%06d.vlog", num)) }
+
 // Append writes one record and returns its pointer, rotating the
 // segment when full.
 func (l *Log) Append(key, value []byte) (Pointer, error) {
-	hdr := make([]byte, 0, 2*binary.MaxVarintLen32)
-	hdr = binary.AppendUvarint(hdr, uint64(len(key)))
-	hdr = binary.AppendUvarint(hdr, uint64(len(value)))
-	recLen := len(hdr) + len(key) + len(value)
+	rec := record.StartFrame(make([]byte, 0, record.HeaderLen+2*binary.MaxVarintLen32+len(key)+len(value)))
+	rec = binary.AppendUvarint(rec, uint64(len(key)))
+	rec = binary.AppendUvarint(rec, uint64(len(value)))
+	rec = append(append(rec, key...), value...)
+	record.FinishFrame(rec)
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.offset > 0 && l.offset+uint64(recLen) > l.maxFileSize {
+	if l.offset > 0 && l.offset+uint64(len(rec)) > l.maxFileSize {
 		if err := l.rotateLocked(l.activeNum + 1); err != nil {
 			return Pointer{}, err
 		}
 	}
-	p := Pointer{FileNum: l.activeNum, Offset: l.offset, Length: uint32(recLen)}
-	rec := make([]byte, 0, recLen)
-	rec = append(rec, hdr...)
-	rec = append(rec, key...)
-	rec = append(rec, value...)
+	p := Pointer{FileNum: l.activeNum, Offset: l.offset, Length: uint32(len(rec))}
 	if _, err := l.active.Write(rec); err != nil {
 		return Pointer{}, err
 	}
-	l.offset += uint64(recLen)
+	l.offset += uint64(len(rec))
 	l.sizes[l.activeNum] = l.offset
 	return p, nil
 }
 
-// Read returns the value a pointer refers to.
+// Read returns the value a pointer refers to, or ErrCorrupt when the
+// record there fails its checksum.
 func (l *Log) Read(p Pointer) ([]byte, error) {
-	f, err := l.fs.Open(vfs.Join(l.dir, fmt.Sprintf("%06d.vlog", p.FileNum)))
+	f, err := l.fs.Open(l.path(p.FileNum))
 	if err != nil {
 		return nil, err
 	}
@@ -179,22 +183,21 @@ func (l *Log) Read(p Pointer) ([]byte, error) {
 	if _, err := f.ReadAt(buf, int64(p.Offset)); err != nil && err != io.EOF {
 		return nil, err
 	}
-	key, value, err := parseRecord(buf)
-	_ = key
+	payload, ok := record.Unframe(buf)
+	if !ok {
+		return nil, fmt.Errorf("%w: segment %d offset %d", ErrCorrupt, p.FileNum, p.Offset)
+	}
+	_, value, err := parseRecord(payload)
 	return value, err
 }
 
-func parseRecord(buf []byte) (key, value []byte, err error) {
-	kl, n1 := binary.Uvarint(buf)
-	if n1 <= 0 {
+func parseRecord(payload []byte) (key, value []byte, err error) {
+	d := record.NewDecoder(payload)
+	kl, vl := d.Uvarint(), d.Uvarint()
+	key, value = d.Take(kl), d.Take(vl)
+	if d.Corrupt() {
 		return nil, nil, ErrCorrupt
 	}
-	vl, n2 := binary.Uvarint(buf[n1:])
-	if n2 <= 0 || n1+n2+int(kl)+int(vl) > len(buf) {
-		return nil, nil, ErrCorrupt
-	}
-	key = buf[n1+n2 : n1+n2+int(kl)]
-	value = buf[n1+n2+int(kl) : n1+n2+int(kl)+int(vl)]
 	return key, value, nil
 }
 
@@ -216,37 +219,27 @@ func (l *Log) OldestSealed() (uint64, bool) {
 }
 
 // ScanFile iterates every record of a segment, passing the stored key,
-// value, and the record's pointer. Used by garbage collection.
+// value, and the record's pointer; key and value are valid only for the
+// call. Every byte of the segment must belong to a whole record whose
+// checksum matches: a torn tail is ErrCorrupt too. Used by garbage
+// collection and the scrubber.
 func (l *Log) ScanFile(num uint64, fn func(key, value []byte, p Pointer) error) error {
-	f, err := l.fs.Open(vfs.Join(l.dir, fmt.Sprintf("%06d.vlog", num)))
+	f, err := l.fs.Open(l.path(num))
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	size, err := f.Size()
-	if err != nil {
-		return err
-	}
-	data := make([]byte, size)
-	if _, err := f.ReadAt(data, 0); err != nil && err != io.EOF {
-		return err
-	}
-	var off uint64
-	for off < uint64(size) {
-		key, value, err := parseRecord(data[off:])
+	off, st, err := record.Scan(f, func(off int64, payload []byte) error {
+		key, value, err := parseRecord(payload)
 		if err != nil {
-			return err
+			return fmt.Errorf("%w: segment %d offset %d", err, num, off)
 		}
-		kl := uint64(len(key))
-		vl := uint64(len(value))
-		recLen := uint64(uvarintLen(kl)+uvarintLen(vl)) + kl + vl
-		p := Pointer{FileNum: num, Offset: off, Length: uint32(recLen)}
-		if err := fn(key, value, p); err != nil {
-			return err
-		}
-		off += recLen
+		return fn(key, value, Pointer{FileNum: num, Offset: uint64(off), Length: uint32(record.HeaderLen + len(payload))})
+	})
+	if err == nil && st != record.Complete {
+		err = fmt.Errorf("%w: segment %d offset %d", ErrCorrupt, num, off)
 	}
-	return nil
+	return err
 }
 
 // SegmentNums returns every live segment number (sealed and active) in
@@ -262,22 +255,10 @@ func (l *Log) SegmentNums() []uint64 {
 	return nums
 }
 
-// VerifyFile structurally validates one segment: every record must
-// parse and the records must tile the file exactly. Value-log records
-// carry no checksum (the tree's pointers hold the only integrity
-// metadata), so this catches truncation and framing damage but not
-// in-place bit flips inside a value.
+// VerifyFile checks every record of one segment: each must pass its
+// checksum and parse, and the records must tile the file exactly.
 func (l *Log) VerifyFile(num uint64) error {
 	return l.ScanFile(num, func(key, value []byte, p Pointer) error { return nil })
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
 }
 
 // Remove deletes a sealed segment after garbage collection.
@@ -289,7 +270,7 @@ func (l *Log) Remove(num uint64) error {
 	}
 	delete(l.sizes, num)
 	l.mu.Unlock()
-	return l.fs.Remove(vfs.Join(l.dir, fmt.Sprintf("%06d.vlog", num)))
+	return l.fs.Remove(l.path(num))
 }
 
 // RotateForGC seals the active segment so that it becomes collectable,
