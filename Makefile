@@ -74,8 +74,11 @@ torture-repl:
 # frame + batch decoder a follower runs on shipped bytes (10s), then 5s
 # each for the decoders of bytes at rest — record framing and sealing,
 # the manifest snapshot, sstable blocks (with iteration), properties and
-# range tombstones, the value-log record and the replication state.
-# Each target's seed corpus also runs under plain `go test`.
+# range tombstones, the value-log record and the replication state —
+# and 5s each for the server's request handling (arbitrary frames over
+# a pipe), the replication repair request and page, and the quota
+# config file. Each target's seed corpus also runs under plain
+# `go test`.
 fuzz-wire:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 30s
 	$(GO) test ./internal/partition -run '^$$' -fuzz FuzzDecodeDescriptor -fuzztime 10s
@@ -87,6 +90,10 @@ fuzz-wire:
 	$(GO) test ./internal/sstable -run '^$$' -fuzz FuzzDecodeRangeTombstones -fuzztime 5s
 	$(GO) test ./internal/wisckey -run '^$$' -fuzz FuzzParseRecord -fuzztime 5s
 	$(GO) test ./internal/replica -run '^$$' -fuzz FuzzDecodeState -fuzztime 5s
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzHandle -fuzztime 5s
+	$(GO) test ./internal/replica -run '^$$' -fuzz FuzzParseRepairReq -fuzztime 5s
+	$(GO) test ./internal/replica -run '^$$' -fuzz FuzzParseRepairPage -fuzztime 5s
+	$(GO) test ./internal/admission -run '^$$' -fuzz FuzzParseConfig -fuzztime 5s
 
 # Coverage over the engine packages: per-package summary (the `ok`
 # lines), then a blocking floor on the combined total. CI fails the

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
+	"slices"
 	"time"
 
 	"lsmlab/internal/admission"
@@ -20,11 +21,14 @@ import (
 // pipelined writes fold into one Apply.
 const connBufSize = 64 << 10
 
-// conn is one served connection. The read goroutine decodes and
-// executes requests in arrival order (which is what makes per-
-// connection read-your-writes trivial); encoded responses flow through
-// out to the write goroutine, so reading request N+1 overlaps with
-// writing response N.
+// conn is one served connection, run by one goroutine: readLoop
+// decodes each request, executes it and writes its response into bw,
+// in arrival order (which is what makes per-connection
+// read-your-writes trivial). bw is flushed before any read that could
+// block — when the read buffer holds no complete frame — so a
+// pipelined burst is answered with one write, and a client that stops
+// reading is cut off by the WriteTimeout deadline every socket write
+// carries.
 type conn struct {
 	s        *Server
 	nc       net.Conn
@@ -33,67 +37,67 @@ type conn struct {
 	openedNs int64
 
 	br *bufio.Reader
-
-	// out carries encoded response frames in request order. The reader
-	// blocks here when the writer backs up — natural backpressure from
-	// a slow client to its own pipeline.
-	out chan []byte
-
-	// wdead is closed when the write goroutine dies early (write
-	// timeout or error), unblocking a reader mid-send.
-	wdead chan struct{}
+	bw *bufio.Writer
 
 	// handleWrites' per-fold scratch, one entry per folded frame; made
 	// on the connection's first write, MaxBatchOps long.
-	dones   []func(error)
+	reqs    []request
 	tenants []string
 }
 
 func newConn(s *Server, nc net.Conn) *conn {
-	return &conn{
+	c := &conn{
 		s:        s,
 		nc:       nc,
 		id:       s.connIDs.Add(1),
 		remote:   nc.RemoteAddr().String(),
 		openedNs: s.opts.NowNs(),
 		br:       bufio.NewReaderSize(nc, connBufSize),
-		out:      make(chan []byte, 128),
-		wdead:    make(chan struct{}),
 	}
+	c.bw = bufio.NewWriterSize(c, connBufSize)
+	return c
 }
 
-// send queues one encoded response frame, failing if the writer died.
-func (c *conn) send(frame []byte) bool {
-	select {
-	case c.out <- frame:
-		return true
-	case <-c.wdead:
-		return false
-	}
+// Write is bw's socket side: every write to the peer is bounded by
+// the slow-client timeout.
+func (c *conn) Write(p []byte) (int, error) {
+	c.nc.SetWriteDeadline(time.Now().Add(c.s.opts.WriteTimeout))
+	return c.nc.Write(p)
 }
 
-// respond encodes and queues one response. Error statuses are counted.
+// respond writes one frame into the connection's buffer — the only
+// place a frame is written — counting error statuses. It returns false
+// once the peer is gone or too slow, and the connection must close.
 func (c *conn) respond(status byte, payload []byte) bool {
 	if status >= wire.StatusBadRequest {
 		c.s.m.NetRequestErrors.Add(1)
 	}
-	return c.send(wire.AppendFrame(nil, status, payload))
-}
-
-func (c *conn) respondErr(status byte, err error) bool {
-	return c.respond(status, []byte(err.Error()))
+	frame := wire.AppendFrame(c.bw.AvailableBuffer(), status, payload)
+	if _, err := c.bw.Write(frame); err != nil {
+		return false
+	}
+	c.s.m.NetBytesWritten.Add(int64(len(frame)))
+	return true
 }
 
 // readLoop decodes and executes requests until the peer closes, an
-// unrecoverable protocol error occurs, or the server drains. It owns
-// the out channel: closing it tells the writer to flush and tear the
-// connection down.
+// unrecoverable protocol error occurs, a write fails, or the server
+// drains; then it flushes what is left and tears the connection down.
 func (c *conn) readLoop() {
-	defer c.s.wg.Done()
-	defer close(c.out)
+	defer func() {
+		c.bw.Flush()
+		c.nc.Close()
+		c.s.removeConn(c)
+		c.s.wg.Done()
+	}()
 	var scratch []byte
 	batch := new(core.Batch)
 	for {
+		// Flush before any read that could block: no response waits on
+		// a request the client has not sent yet.
+		if c.bufferedFrame() == 0 && c.bw.Flush() != nil {
+			return
+		}
 		if idle := c.s.opts.IdleTimeout; idle > 0 {
 			c.nc.SetReadDeadline(time.Now().Add(idle))
 		}
@@ -111,9 +115,9 @@ func (c *conn) readLoop() {
 			// drain kick) just end the connection.
 			switch {
 			case errors.Is(err, wire.ErrTooLarge):
-				c.respondErr(wire.StatusTooLarge, err)
+				c.respond(wire.StatusTooLarge, []byte(err.Error()))
 			case errors.Is(err, wire.ErrMalformed):
-				c.respondErr(wire.StatusBadRequest, err)
+				c.respond(wire.StatusBadRequest, []byte(err.Error()))
 			}
 			return
 		}
@@ -124,198 +128,189 @@ func (c *conn) readLoop() {
 	}
 }
 
-// writeLoop writes queued responses, flushing whenever the queue goes
-// idle, each write bounded by the slow-client timeout. It performs the
-// connection's final teardown.
-func (c *conn) writeLoop() {
-	defer c.s.wg.Done()
-	defer c.s.removeConn(c)
-	defer c.nc.Close()
-	bw := bufio.NewWriterSize(c.nc, connBufSize)
-	fail := func() {
-		close(c.wdead)
-		c.nc.Close() // unblocks the reader too
-		for range c.out {
-		} // discard queued responses so the reader never wedges
-	}
-	for frame := range c.out {
-		c.nc.SetWriteDeadline(time.Now().Add(c.s.opts.WriteTimeout))
-		if _, err := bw.Write(frame); err != nil {
-			fail()
-			return
-		}
-		c.s.m.NetBytesWritten.Add(int64(len(frame)))
-		if len(c.out) == 0 {
-			if err := bw.Flush(); err != nil {
-				fail()
-				return
-			}
-		}
-	}
-	c.nc.SetWriteDeadline(time.Now().Add(c.s.opts.WriteTimeout))
-	bw.Flush()
-}
-
-// beginRequest stamps one request's accounting; the returned func
-// completes it.
-func (c *conn) beginRequest(op byte) func(err error) {
-	c.s.m.NetRequests.Add(1)
-	reqID := c.s.reqIDs.Add(1)
-	start := c.s.opts.NowNs()
-	c.s.emit(events.Event{Type: events.RequestBegin, JobID: reqID, Reason: wire.OpName(op)})
-	return func(err error) {
-		now := c.s.opts.NowNs()
-		c.s.m.RequestNs.RecordSince(start, now)
-		c.s.emit(events.Event{Type: events.RequestEnd, JobID: reqID,
-			Reason: wire.OpName(op), DurationNs: now - start, Err: err})
-	}
-}
-
-// traceCtx carries one traced request's wire id and arrival time so
-// the response can be flagged and stamped with the server-observed
-// duration. The zero value means untraced.
-type traceCtx struct {
-	id      uint64
+// request is one request's accounting stamp, taken when it is read.
+type request struct {
+	op      byte
+	id      uint64 // RequestBegin/RequestEnd JobID
 	startNs int64
+	traceID uint64 // wire trace id of a traced data verb, else 0
 }
 
-// respondTraced answers a request, adding the trace echo — flagged
-// status, id, server-observed nanoseconds — when the request was
-// traced and the status is a success (error statuses are never
-// flagged; every client understands them as-is).
-func (c *conn) respondTraced(tc traceCtx, status byte, payload []byte) bool {
-	if tc.id == 0 || (status != wire.StatusOK && status != wire.StatusNotFound) {
-		return c.respond(status, payload)
+// begin stamps one request and announces it.
+func (c *conn) begin(op byte, traceID uint64) request {
+	c.s.m.NetRequests.Add(1)
+	r := request{op: op, id: c.s.reqIDs.Add(1), startNs: c.s.opts.NowNs(), traceID: traceID}
+	c.s.emit(events.Event{Type: events.RequestBegin, JobID: r.id, Reason: wire.OpName(op)})
+	return r
+}
+
+// reply completes one request — its latency, its RequestEnd event,
+// its throttle count — and writes its response: an error status
+// carries err's text unless the handler supplied a payload (a
+// throttle's retry hint, an unknown opcode's name); a traced data
+// verb's success carries the trace echo (flagged status, id,
+// server-observed nanoseconds). Status 0 writes nothing: a replication
+// stream answered in its own frames. It returns false when the
+// connection must close.
+func (c *conn) reply(r request, status byte, payload []byte, err error) bool {
+	now := c.s.opts.NowNs()
+	c.s.m.RequestNs.RecordSince(r.startNs, now)
+	if status == wire.StatusNotFound {
+		err = nil // an answer, not a failure
 	}
-	echo := wire.AppendTraceEcho(make([]byte, 0, 16+len(payload)), tc.id,
-		c.s.opts.NowNs()-tc.startNs)
-	return c.respond(status|wire.TraceFlag, append(echo, payload...))
+	c.s.emit(events.Event{Type: events.RequestEnd, JobID: r.id,
+		Reason: wire.OpName(r.op), DurationNs: now - r.startNs, Err: err})
+	switch {
+	case status == 0:
+		return true
+	case status == wire.StatusThrottled:
+		c.s.m.NetThrottled.Add(1)
+	case status >= wire.StatusBadRequest:
+		if payload == nil {
+			payload = []byte(err.Error())
+		}
+	case r.traceID != 0:
+		echo := wire.AppendTraceEcho(make([]byte, 0, 16+len(payload)), r.traceID, now-r.startNs)
+		status, payload = status|wire.TraceFlag, append(echo, payload...)
+	}
+	return c.respond(status, payload)
+}
+
+// statusOf maps a request's outcome to its wire status: the one place
+// engine and replicator errors become statuses.
+func statusOf(err error) byte {
+	switch {
+	case err == nil:
+		return wire.StatusOK
+	case errors.Is(err, core.ErrNotFound):
+		return wire.StatusNotFound
+	case errors.Is(err, wire.ErrMalformed):
+		// The replicator judged the request (bad shard, undecodable
+		// repair range): the client's fault.
+		return wire.StatusBadRequest
+	case errors.Is(err, core.ErrClosed):
+		return wire.StatusShuttingDown
+	case errors.Is(err, core.ErrDegraded):
+		// Read-only mode: the refusal is sticky, so the status is the
+		// non-retryable kind — clients surface it instead of looping.
+		return wire.StatusUnavailable
+	case errors.Is(err, core.ErrReplica):
+		// A replication follower: nothing is wrong, writes just belong
+		// on the leader.
+		return wire.StatusReadOnly
+	default:
+		return wire.StatusInternal
+	}
+}
+
+// result answers an engine or replicator call: resp on success, the
+// error's status otherwise.
+func result(resp []byte, err error) (byte, []byte, error) {
+	if err != nil {
+		return statusOf(err), nil, err
+	}
+	return wire.StatusOK, resp, nil
 }
 
 // handle executes one request frame (plus, for writes, any pipelined
-// write frames already buffered behind it) and queues the responses.
+// write frames already buffered behind it) and writes the responses.
 // It returns false when the connection must close.
 func (c *conn) handle(op byte, payload []byte, batch *core.Batch) bool {
-	var tc traceCtx
+	var traceID uint64
 	if wire.IsTracedOp(op) {
 		id, rest, err := wire.ReadTraceID(payload)
 		if err != nil {
-			done := c.beginRequest(op)
-			done(err)
-			return c.respondErr(wire.StatusBadRequest, err)
+			return c.reply(c.begin(op, 0), wire.StatusBadRequest, nil, err)
 		}
-		if id == 0 {
+		op, payload = wire.BaseOp(op), rest
+		// Only the data verbs carry a span and echo; any other verb is
+		// answered as if untraced.
+		switch op {
+		case wire.OpGet, wire.OpPut, wire.OpDelete, wire.OpScan, wire.OpBatch:
 			// A flagged frame with no id still wants an echo; mint one so
 			// the span and the response carry something findable.
-			if id = c.s.db.Tracer().NewID(); id == 0 {
-				id = 1
+			if id == 0 {
+				if id = c.s.db.Tracer().NewID(); id == 0 {
+					id = 1
+				}
 			}
+			traceID = id
 		}
-		tc = traceCtx{id: id, startNs: c.s.opts.NowNs()}
-		op, payload = wire.BaseOp(op), rest
 	}
-	switch op {
-	case wire.OpPut, wire.OpDelete:
-		return c.handleWrites(op, payload, batch, tc)
+	if op == wire.OpPut || op == wire.OpDelete {
+		return c.handleWrites(op, payload, batch, traceID)
+	}
+	r := c.begin(op, traceID)
+	status, resp, err := c.exec(r, payload, batch)
+	return c.reply(r, status, resp, err) && op != wire.OpReplSubscribe
+}
+
+// exec runs one request other than PUT/DELETE and returns its answer.
+// Request-shape failures answer StatusBadRequest directly; engine and
+// replicator errors go through statusOf.
+func (c *conn) exec(r request, payload []byte, batch *core.Batch) (byte, []byte, error) {
+	switch r.op {
 	case wire.OpGet:
-		done := c.beginRequest(op)
 		key, rest, err := wire.ReadBytes(payload)
 		if err != nil || len(rest) != 0 {
-			done(wire.ErrMalformed)
-			return c.respondErr(wire.StatusBadRequest, wire.ErrMalformed)
+			return wire.StatusBadRequest, nil, wire.ErrMalformed
 		}
 		tenant := admission.TenantOf(key)
-		if d := c.s.opts.Admission.Admit(tenant, 1, 0); !d.OK {
-			done(errThrottled)
-			return c.respondThrottled(tenant, d, "tenant read quota exceeded")
-		} else {
-			c.s.noteThrottle(tenant, d)
+		if d := c.admit(tenant, 1, 0); !d.OK {
+			return wire.StatusThrottled, throttlePayload(d, "tenant read quota exceeded"), errThrottled
 		}
-		v, err := c.s.db.GetTraced(key, tc.id)
-		switch {
-		case errors.Is(err, core.ErrNotFound):
-			done(nil)
-			return c.respondTraced(tc, wire.StatusNotFound, nil)
-		case errors.Is(err, core.ErrClosed):
-			done(err)
-			return c.respondErr(wire.StatusShuttingDown, err)
-		case err != nil:
-			done(err)
-			return c.respondErr(wire.StatusInternal, err)
+		v, err := c.s.db.GetTraced(key, r.traceID)
+		if err == nil {
+			// Response bytes could not be known at admit time; charge
+			// them now (the byte bucket absorbs the debt).
+			c.s.opts.Admission.Charge(tenant, int64(len(v)))
 		}
-		// Response bytes could not be known at admit time; charge them
-		// now (the byte bucket absorbs the debt).
-		c.s.opts.Admission.Charge(tenant, int64(len(v)))
-		done(nil)
-		return c.respondTraced(tc, wire.StatusOK, v)
+		return result(v, err)
 	case wire.OpScan:
-		return c.handleScan(payload, tc)
+		return c.scan(r, payload)
 	case wire.OpBatch:
-		done := c.beginRequest(op)
 		batch.Reset()
 		costs, err := decodeBatch(payload, batch)
 		if err != nil {
-			done(err)
-			return c.respondErr(wire.StatusBadRequest, err)
+			return wire.StatusBadRequest, nil, err
 		}
 		for _, bc := range costs {
-			d := c.s.opts.Admission.Admit(bc.tenant, bc.ops, bc.bytes)
-			if !d.OK {
-				// Tokens already taken for earlier tenants in a (rare)
-				// cross-tenant batch stay spent; refill self-corrects.
-				done(errThrottled)
-				return c.respondThrottled(bc.tenant, d, "tenant write quota exceeded")
+			// Tokens already taken for earlier tenants in a (rare)
+			// cross-tenant batch stay spent; refill self-corrects.
+			if d := c.admit(bc.tenant, bc.ops, bc.bytes); !d.OK {
+				return wire.StatusThrottled, throttlePayload(d, "tenant write quota exceeded"), errThrottled
 			}
-			c.s.noteThrottle(bc.tenant, d)
 		}
-		err = c.s.db.ApplyTraced(batch, tc.id)
+		err = c.s.db.ApplyTraced(batch, r.traceID)
 		if errors.Is(err, core.ErrBackpressure) {
 			retry := backpressureRetry(err)
-			for _, bc := range costs[1:] {
-				c.s.opts.Admission.Penalize(bc.tenant, retry)
-			}
 			primary := admission.DefaultTenant
 			if len(costs) > 0 {
 				primary = costs[0].tenant
 			}
-			return c.shedWrites(err, []func(error){done}, []string{primary})
+			for _, bc := range costs {
+				c.s.opts.Admission.Penalize(bc.tenant, retry)
+			}
+			return c.shed(primary, retry, err)
 		}
-		done(err)
-		return c.respondApplyTraced(tc, err)
+		return result(nil, err)
 	case wire.OpStats:
-		done := c.beginRequest(op)
 		verbose := len(payload) > 0 && payload[0] != 0
-		text := c.s.Stats().Text(verbose)
-		done(nil)
-		return c.respond(wire.StatusOK, []byte(text))
+		return wire.StatusOK, []byte(c.s.Stats().Text(verbose)), nil
 	case wire.OpWorkload:
-		done := c.beginRequest(op)
-		body, err := json.Marshal(c.s.db.Stats().Workload)
-		done(err)
-		if err != nil {
-			return c.respondErr(wire.StatusInternal, err)
-		}
-		return c.respond(wire.StatusOK, body)
+		return result(json.Marshal(c.s.db.Stats().Workload))
 	case wire.OpCompact:
-		done := c.beginRequest(op)
-		err := c.s.db.Compact()
-		done(err)
-		return c.respondApply(err)
+		return result(nil, c.s.db.Compact())
 	case wire.OpPing:
-		done := c.beginRequest(op)
-		done(nil)
-		return c.respond(wire.StatusOK, nil)
+		return wire.StatusOK, nil, nil
 	case wire.OpWatermark:
-		done := c.beginRequest(op)
 		vec := c.s.db.SeqVector()
 		resp := wire.AppendUvarint(make([]byte, 0, 8+10*len(vec)), uint64(len(vec)))
 		for _, seq := range vec {
 			resp = wire.AppendUvarint(resp, seq)
 		}
-		done(nil)
-		return c.respond(wire.StatusOK, resp)
+		return wire.StatusOK, resp, nil
 	case wire.OpHealth:
-		done := c.beginRequest(op)
 		h := c.s.db.Stats().Health
 		resp := make([]byte, 1, 64)
 		if h.Degraded {
@@ -324,17 +319,28 @@ func (c *conn) handle(op byte, payload []byte, batch *core.Batch) bool {
 		resp = wire.AppendBytes(resp, []byte(h.Cause))
 		resp = wire.AppendBytes(resp, []byte(h.Op))
 		resp = wire.AppendBytes(resp, []byte(h.Kind))
-		done(nil)
-		return c.respond(wire.StatusOK, resp)
+		return wire.StatusOK, resp, nil
+	case wire.OpReplSubscribe, wire.OpReplAck, wire.OpReplTree, wire.OpReplRepair, wire.OpReplStatus:
+		return c.replicate(r.op, payload)
+	default:
+		// Framing was intact, so the stream is still in sync: answer
+		// with a structured error and keep the connection.
+		return wire.StatusUnknownOp, []byte(wire.OpName(r.op)), wire.ErrMalformed
+	}
+}
+
+var errReplDisabled = errors.New("replication not enabled on this server")
+
+// replicate forwards one replication verb to the Replicator.
+func (c *conn) replicate(op byte, payload []byte) (byte, []byte, error) {
+	repl := c.s.opts.Repl
+	if repl == nil {
+		return wire.StatusBadRequest, nil, errReplDisabled
+	}
+	switch op {
 	case wire.OpReplSubscribe:
-		return c.handleReplSubscribe(payload)
+		return c.subscribe(repl, payload)
 	case wire.OpReplAck:
-		done := c.beginRequest(op)
-		repl := c.s.opts.Repl
-		if repl == nil {
-			done(errReplDisabled)
-			return c.respondErr(wire.StatusBadRequest, errReplDisabled)
-		}
 		id, rest, err := wire.ReadBytes(payload)
 		var shard, seq uint64
 		if err == nil {
@@ -344,93 +350,40 @@ func (c *conn) handle(op byte, payload []byte, batch *core.Batch) bool {
 			seq, rest, err = wire.ReadUvarint(rest)
 		}
 		if err != nil || len(rest) != 0 {
-			done(wire.ErrMalformed)
-			return c.respondErr(wire.StatusBadRequest, wire.ErrMalformed)
+			return wire.StatusBadRequest, nil, wire.ErrMalformed
 		}
 		err = repl.Ack(string(id), int(shard), seq)
 		if err == nil {
 			c.s.m.ReplAcks.Add(1)
 		}
-		done(err)
-		return c.respondRepl(err, nil)
+		return result(nil, err)
 	case wire.OpReplTree:
-		done := c.beginRequest(op)
-		repl := c.s.opts.Repl
-		if repl == nil {
-			done(errReplDisabled)
-			return c.respondErr(wire.StatusBadRequest, errReplDisabled)
-		}
 		shard, rest, err := wire.ReadUvarint(payload)
 		if err != nil || len(rest) != 0 {
-			done(wire.ErrMalformed)
-			return c.respondErr(wire.StatusBadRequest, wire.ErrMalformed)
+			return wire.StatusBadRequest, nil, wire.ErrMalformed
 		}
-		resp, err := repl.Tree(int(shard))
-		done(err)
-		return c.respondRepl(err, resp)
+		return result(repl.Tree(int(shard)))
 	case wire.OpReplRepair:
-		done := c.beginRequest(op)
-		repl := c.s.opts.Repl
-		if repl == nil {
-			done(errReplDisabled)
-			return c.respondErr(wire.StatusBadRequest, errReplDisabled)
-		}
 		resp, err := repl.Repair(payload, c.s.opts.MaxRequestBytes-64)
 		if err == nil {
 			c.s.m.ReplRepairPages.Add(1)
 		}
-		done(err)
-		return c.respondRepl(err, resp)
-	case wire.OpReplStatus:
-		done := c.beginRequest(op)
-		repl := c.s.opts.Repl
-		if repl == nil {
-			done(errReplDisabled)
-			return c.respondErr(wire.StatusBadRequest, errReplDisabled)
-		}
-		done(nil)
-		return c.respond(wire.StatusOK, repl.Status())
-	default:
-		// Framing was intact, so the stream is still in sync: answer
-		// with a structured error and keep the connection.
-		done := c.beginRequest(op)
-		done(wire.ErrMalformed)
-		return c.respond(wire.StatusUnknownOp, []byte(wire.OpName(op)))
+		return result(resp, err)
+	default: // OpReplStatus
+		return wire.StatusOK, repl.Status(), nil
 	}
 }
 
-var errReplDisabled = errors.New("replication not enabled on this server")
-
-// respondRepl maps a Replicator error to a response status: malformed
-// requests (bad shard, undecodable payload) are the client's fault,
-// everything else is internal.
-func (c *conn) respondRepl(err error, resp []byte) bool {
-	switch {
-	case err == nil:
-		return c.respond(wire.StatusOK, resp)
-	case errors.Is(err, wire.ErrMalformed):
-		return c.respondErr(wire.StatusBadRequest, err)
-	default:
-		return c.respondErr(wire.StatusInternal, err)
-	}
-}
-
-// handleReplSubscribe converts the connection into a one-way
-// replication stream: the Replicator's send callback queues StatusOK
-// frames through the ordinary write goroutine (so slow-follower
-// backpressure and write timeouts apply unchanged), and the read loop
-// stays parked in the stream until it ends — at which point the
-// connection closes, which is what tells the follower to resubscribe
-// or repair.
-func (c *conn) handleReplSubscribe(payload []byte) bool {
-	done := c.beginRequest(wire.OpReplSubscribe)
-	repl := c.s.opts.Repl
-	if repl == nil {
-		done(errReplDisabled)
-		c.respondErr(wire.StatusBadRequest, errReplDisabled)
-		return false
-	}
-	id, rest, err := wire.ReadBytes(payload)
+// subscribe converts the connection into a one-way replication
+// stream: each payload the Replicator hands to send becomes one
+// StatusOK frame, flushed at once (the follower waits on each) under
+// the same write deadline as any response, so a slow follower is cut
+// off like any slow client. The stream ends the connection — which is
+// what tells the follower to resubscribe or repair — and a clean end
+// adds no frame of its own.
+func (c *conn) subscribe(repl Replicator, payload []byte) (byte, []byte, error) {
+	// The follower id matters on acks; the stream itself is anonymous.
+	_, rest, err := wire.ReadBytes(payload)
 	var shard, after uint64
 	if err == nil {
 		shard, rest, err = wire.ReadUvarint(rest)
@@ -439,11 +392,8 @@ func (c *conn) handleReplSubscribe(payload []byte) bool {
 		after, rest, err = wire.ReadUvarint(rest)
 	}
 	if err != nil || len(rest) != 0 || int(shard) >= repl.NumShards() {
-		done(wire.ErrMalformed)
-		c.respondErr(wire.StatusBadRequest, wire.ErrMalformed)
-		return false
+		return wire.StatusBadRequest, nil, wire.ErrMalformed
 	}
-	_ = id // identity matters on acks; the stream itself is anonymous
 	c.s.m.ReplSubscribes.Add(1)
 	send := func(p []byte) bool {
 		if len(p) > 0 {
@@ -454,41 +404,13 @@ func (c *conn) handleReplSubscribe(payload []byte) bool {
 				c.s.m.ReplGapsSignaled.Add(1)
 			}
 		}
-		return c.respond(wire.StatusOK, p)
+		return c.respond(wire.StatusOK, p) && c.bw.Flush() == nil
 	}
 	stopped := func() bool { return c.s.drain.Load() }
-	err = repl.Subscribe(int(shard), after, send, stopped)
-	done(err)
-	if err != nil {
-		c.respondErr(wire.StatusBadRequest, err)
+	if err := repl.Subscribe(int(shard), after, send, stopped); err != nil {
+		return statusOf(err), nil, err
 	}
-	return false
-}
-
-// respondApply maps an Apply/Compact error to a response status.
-func (c *conn) respondApply(err error) bool {
-	return c.respondApplyTraced(traceCtx{}, err)
-}
-
-// respondApplyTraced is respondApply with the request's trace echo on
-// the success path.
-func (c *conn) respondApplyTraced(tc traceCtx, err error) bool {
-	switch {
-	case err == nil:
-		return c.respondTraced(tc, wire.StatusOK, nil)
-	case errors.Is(err, core.ErrClosed):
-		return c.respondErr(wire.StatusShuttingDown, err)
-	case errors.Is(err, core.ErrDegraded):
-		// Read-only mode: the refusal is sticky, so the status is the
-		// non-retryable kind — clients surface it instead of looping.
-		return c.respondErr(wire.StatusUnavailable, err)
-	case errors.Is(err, core.ErrReplica):
-		// A replication follower: nothing is wrong, writes just belong
-		// on the leader.
-		return c.respondErr(wire.StatusReadOnly, err)
-	default:
-		return c.respondErr(wire.StatusInternal, err)
-	}
+	return 0, nil, nil
 }
 
 // handleWrites folds the first write plus any pipelined PUT/DELETE
@@ -497,34 +419,29 @@ func (c *conn) respondApplyTraced(tc traceCtx, err error) bool {
 // wire — its own response, metrics, and events — but the engine sees a
 // single Apply, whose commit the leader-based pipeline then coalesces
 // with other connections' groups.
-func (c *conn) handleWrites(op byte, payload []byte, batch *core.Batch, tc traceCtx) bool {
+func (c *conn) handleWrites(op byte, payload []byte, batch *core.Batch, traceID uint64) bool {
 	batch.Reset()
-	done := c.beginRequest(op)
-	adm := c.s.opts.Admission
+	first := c.begin(op, traceID)
 	tenant := writeTenant(payload)
-	if d := adm.Admit(tenant, 1, int64(len(payload))); !d.OK {
-		done(errThrottled)
-		return c.respondThrottled(tenant, d, "tenant write quota exceeded")
-	} else {
-		c.s.noteThrottle(tenant, d)
+	if d := c.admit(tenant, 1, int64(len(payload))); !d.OK {
+		return c.reply(first, wire.StatusThrottled, throttlePayload(d, "tenant write quota exceeded"), errThrottled)
 	}
 	if err := addWrite(batch, op, payload); err != nil {
 		// The first frame was malformed; nothing batched, stream still
 		// framed — answer and keep the connection.
-		done(err)
-		return c.respondErr(wire.StatusBadRequest, err)
+		return c.reply(first, wire.StatusBadRequest, nil, err)
 	}
-	if c.dones == nil {
-		c.dones = make([]func(error), 0, c.s.opts.MaxBatchOps)
+	if c.reqs == nil {
+		c.reqs = make([]request, 0, c.s.opts.MaxBatchOps)
 		c.tenants = make([]string, 0, c.s.opts.MaxBatchOps)
 	}
-	dones := append(c.dones[:0], done)
+	reqs := append(c.reqs[:0], first)
 	tenants := append(c.tenants[:0], tenant)
 	// A traced write is never folded with its neighbors: its span (and
 	// echoed duration) must describe exactly the one request the client
 	// asked about. Group commit still coalesces the WAL writes below.
-	if tc.id == 0 {
-		for len(dones) < c.s.opts.MaxBatchOps {
+	if traceID == 0 {
+		for len(reqs) < c.s.opts.MaxBatchOps {
 			op2, payload2, size, ok := c.peekBufferedWrite()
 			if !ok {
 				break
@@ -533,40 +450,43 @@ func (c *conn) handleWrites(op byte, payload []byte, batch *core.Batch, tc trace
 			// buffer: the main loop picks it up as its own request and
 			// answers it with StatusThrottled, keeping responses FIFO.
 			t2 := writeTenant(payload2)
-			d2 := adm.Admit(t2, 1, int64(len(payload2)))
-			if !d2.OK {
+			if d2 := c.admit(t2, 1, int64(len(payload2))); !d2.OK {
 				break
 			}
-			c.s.noteThrottle(t2, d2)
 			// Validate before consuming: a malformed frame stays in the read
 			// buffer, so the main read loop answers it only after this
-			// batch's responses are queued — responses stay FIFO with
+			// batch's responses are written — responses stay FIFO with
 			// requests, which is how the client matches them.
 			if err := addWrite(batch, op2, payload2); err != nil {
 				break
 			}
-			dones = append(dones, c.beginRequest(op2))
+			reqs = append(reqs, c.begin(op2, 0))
 			tenants = append(tenants, t2)
 			c.br.Discard(size)
 			c.s.m.NetBytesRead.Add(int64(size))
 		}
 	}
-	err := c.s.db.ApplyTraced(batch, tc.id)
-	if errors.Is(err, core.ErrBackpressure) {
-		return c.shedWrites(err, dones, tenants)
+	err := c.s.db.ApplyTraced(batch, traceID)
+	shed := errors.Is(err, core.ErrBackpressure)
+	var retry time.Duration
+	if shed {
+		// Scope the shed to the tenants that drove the overload: their
+		// buckets are drained by the retry hint, so admission keeps
+		// rejecting them for that long while other tenants flow.
+		retry = backpressureRetry(err)
+		for i, t := range tenants {
+			if !slices.Contains(tenants[:i], t) {
+				c.s.opts.Admission.Penalize(t, retry)
+			}
+		}
 	}
 	alive := true
-	for i, d := range dones {
-		d(err)
-		ok := false
-		if i == 0 {
-			ok = c.respondApplyTraced(tc, err)
-		} else {
-			ok = c.respondApply(err)
+	for i, r := range reqs {
+		status, resp, e := result(nil, err)
+		if shed {
+			status, resp, e = c.shed(tenants[i], retry, err)
 		}
-		if !ok {
-			alive = false
-		}
+		alive = c.reply(r, status, resp, e) && alive
 	}
 	return alive
 }
@@ -585,44 +505,29 @@ func writeTenant(payload []byte) string {
 // errThrottled annotates RequestEnd events for admission rejections.
 var errThrottled = errors.New("throttled: tenant over quota")
 
-// respondThrottled answers one request with StatusThrottled carrying
-// the retry-after hint, counting it and opening a throttle episode
-// when this rejection is the transition into one.
-func (c *conn) respondThrottled(tenant string, d admission.Decision, msg string) bool {
-	c.s.m.NetThrottled.Add(1)
+// admit meters one data-plane request against its tenant, turning a
+// throttle-episode transition into its event.
+func (c *conn) admit(tenant string, ops int, bytes int64) admission.Decision {
+	d := c.s.opts.Admission.Admit(tenant, ops, bytes)
 	c.s.noteThrottle(tenant, d)
-	payload := wire.AppendThrottle(make([]byte, 0, 8+len(msg)),
-		admission.RetryAfterMillis(d.RetryAfter), msg)
-	return c.respond(wire.StatusThrottled, payload)
+	return d
 }
 
-// shedWrites answers writes aborted by engine backpressure
+// throttlePayload is a StatusThrottled response's body: the
+// retry-after hint, then msg.
+func throttlePayload(d admission.Decision, msg string) []byte {
+	return wire.AppendThrottle(make([]byte, 0, 8+len(msg)), admission.RetryAfterMillis(d.RetryAfter), msg)
+}
+
+// shed answers a write aborted by engine backpressure
 // (Options.StallTimeout fired under the stalled leader). The abort is
-// transient and pre-WAL — nothing was committed — so the response is
-// the retryable StatusThrottled, scoped to the tenants that drove the
-// overload: their buckets are drained by the retry hint, so admission
-// keeps rejecting them for that long while other tenants' requests
-// flow untouched.
-func (c *conn) shedWrites(err error, dones []func(error), tenants []string) bool {
-	retry := backpressureRetry(err)
-	adm := c.s.opts.Admission
-	seen := make(map[string]bool, 2)
-	for _, t := range tenants {
-		if !seen[t] {
-			seen[t] = true
-			adm.Penalize(t, retry)
-		}
-	}
-	msg := err.Error()
-	alive := true
-	for i, done := range dones {
-		done(err)
-		d := admission.Decision{RetryAfter: retry, Entered: adm.Shed(tenants[i])}
-		if !c.respondThrottled(tenants[i], d, msg) {
-			alive = false
-		}
-	}
-	return alive
+// transient and pre-WAL — nothing was committed — so the answer is the
+// retryable StatusThrottled, and the rejection opens the tenant's
+// throttle episode like an admission rejection would.
+func (c *conn) shed(tenant string, retry time.Duration, err error) (byte, []byte, error) {
+	d := admission.Decision{RetryAfter: retry, Entered: c.s.opts.Admission.Shed(tenant)}
+	c.s.noteThrottle(tenant, d)
+	return wire.StatusThrottled, throttlePayload(d, err.Error()), err
 }
 
 // backpressureRetry derives the retry hint for a shed write from how
@@ -644,31 +549,31 @@ func backpressureRetry(err error) time.Duration {
 	return retry
 }
 
+// bufferedFrame returns the size of the next frame when it is already
+// fully buffered — reading it cannot block — and 0 otherwise,
+// including for a length the frame cap rejects.
+func (c *conn) bufferedFrame() int {
+	buffered := c.br.Buffered()
+	if buffered < 5 {
+		return 0
+	}
+	hdr, _ := c.br.Peek(4) // buffered: cannot block or fail
+	n := binary.BigEndian.Uint32(hdr)
+	if n == 0 || uint64(n) > uint64(c.s.opts.MaxRequestBytes) || 4+int(n) > buffered {
+		return 0
+	}
+	return 4 + int(n)
+}
+
 // peekBufferedWrite returns the next frame without consuming it, but
 // only if it is fully buffered (never blocking the coalescing loop)
 // and is a PUT or DELETE. Anything else — partial frames, other
 // opcodes, malformed lengths — is left for the main read loop.
 func (c *conn) peekBufferedWrite() (op byte, payload []byte, size int, ok bool) {
-	buffered := c.br.Buffered()
-	if buffered < 5 {
+	if size = c.bufferedFrame(); size == 0 {
 		return 0, nil, 0, false
 	}
-	hdr, err := c.br.Peek(4)
-	if err != nil {
-		return 0, nil, 0, false
-	}
-	n := binary.BigEndian.Uint32(hdr)
-	if n == 0 || uint64(n) > uint64(c.s.opts.MaxRequestBytes) {
-		return 0, nil, 0, false
-	}
-	size = 4 + int(n)
-	if size > buffered {
-		return 0, nil, 0, false
-	}
-	full, err := c.br.Peek(size)
-	if err != nil {
-		return 0, nil, 0, false
-	}
+	full, _ := c.br.Peek(size) // buffered: cannot block or fail
 	op = full[4]
 	if op != wire.OpPut && op != wire.OpDelete {
 		return 0, nil, 0, false
@@ -757,46 +662,38 @@ func decodeBatch(payload []byte, batch *core.Batch) ([]batchCost, error) {
 	return costs, nil
 }
 
-// handleScan answers one prefix scan, capped by MaxScanLimit, by
-// response size (so the frame never exceeds what a peer with the same
-// frame cap will accept), and by the per-request deadline (checked
-// while iterating, so a pathological range cannot pin the connection
-// past its budget).
-func (c *conn) handleScan(payload []byte, tc traceCtx) bool {
-	done := c.beginRequest(wire.OpScan)
+// scan answers one prefix scan, capped by MaxScanLimit, by response
+// size (so the frame never exceeds what a peer with the same frame cap
+// will accept), and by the per-request deadline (checked while
+// iterating, so a pathological range cannot pin the connection past
+// its budget).
+func (c *conn) scan(r request, payload []byte) (status byte, resp []byte, err error) {
 	// The server-side scan drives its own iterator (size and deadline
 	// caps), so it spans itself rather than going through core.Scan.
 	var sp *trace.Span
-	if tc.id != 0 {
+	if r.traceID != 0 {
 		if tr := c.s.db.Tracer(); tr != nil {
-			sp = tr.StartID(trace.OpScan, tc.id)
+			sp = tr.StartID(trace.OpScan, r.traceID)
 			sp.Retain()
 			defer tr.Finish(sp)
 		}
 	}
+	defer func() { sp.SetErr(err) }()
 	prefix, rest, err := wire.ReadBytes(payload)
 	if err != nil {
-		done(err)
-		sp.SetErr(err)
-		return c.respondErr(wire.StatusBadRequest, err)
+		return wire.StatusBadRequest, nil, err
 	}
 	limit64, rest, err := wire.ReadUvarint(rest)
 	if err != nil || len(rest) != 0 {
-		done(wire.ErrMalformed)
-		sp.SetErr(wire.ErrMalformed)
-		return c.respondErr(wire.StatusBadRequest, wire.ErrMalformed)
+		return wire.StatusBadRequest, nil, wire.ErrMalformed
 	}
 	limit := int(limit64)
 	if limit <= 0 || limit > c.s.opts.MaxScanLimit {
 		limit = c.s.opts.MaxScanLimit
 	}
 	tenant := admission.TenantOf(prefix)
-	if d := c.s.opts.Admission.Admit(tenant, 1, 0); !d.OK {
-		done(errThrottled)
-		sp.SetErr(errThrottled)
-		return c.respondThrottled(tenant, d, "tenant scan quota exceeded")
-	} else {
-		c.s.noteThrottle(tenant, d)
+	if d := c.admit(tenant, 1, 0); !d.OK {
+		return wire.StatusThrottled, throttlePayload(d, "tenant scan quota exceeded"), errThrottled
 	}
 	var deadlineNs int64
 	if c.s.opts.RequestTimeout > 0 {
@@ -805,12 +702,7 @@ func (c *conn) handleScan(payload []byte, tc traceCtx) bool {
 
 	it, err := c.s.db.NewRangeIter(prefix, prefixEnd(prefix))
 	if err != nil {
-		done(err)
-		sp.SetErr(err)
-		if errors.Is(err, core.ErrClosed) {
-			return c.respondErr(wire.StatusShuttingDown, err)
-		}
-		return c.respondErr(wire.StatusInternal, err)
+		return result(nil, err)
 	}
 	defer it.Close()
 	// Stop before the response frame outgrows MaxRequestBytes: a client
@@ -821,16 +713,13 @@ func (c *conn) handleScan(payload []byte, tc traceCtx) bool {
 	body := make([]byte, 0, 512)
 	count := 0
 	scanned := 0
-	iterStart := tc.startNs
+	iterStart := r.startNs
 	for ok := it.First(); ok && count < limit; ok = it.Next() {
 		// The deadline ticks on keys visited, not keys returned: a scan
 		// skipping past a foreign namespace must still stay in budget.
 		scanned++
 		if deadlineNs != 0 && scanned%64 == 0 && c.s.opts.NowNs() > deadlineNs {
-			err := errors.New("scan exceeded request deadline")
-			done(err)
-			sp.SetErr(err)
-			return c.respondErr(wire.StatusDeadline, err)
+			return wire.StatusDeadline, nil, errors.New("scan exceeded request deadline")
 		}
 		// Namespace clamp: tenants interleave lexicographically (the
 		// default namespace's separator-free keys sort among everyone
@@ -848,20 +737,17 @@ func (c *conn) handleScan(payload []byte, tc traceCtx) bool {
 		count++
 	}
 	if err := it.Err(); err != nil {
-		done(err)
-		sp.SetErr(err)
-		return c.respondErr(wire.StatusInternal, err)
+		return result(nil, err)
 	}
 	if sp != nil {
 		sp.StageSince("iterate", iterStart, c.s.opts.NowNs())
 		sp.AddEntries(count)
 		sp.AddBytes(int64(len(body)))
 	}
-	resp := wire.AppendUvarint(make([]byte, 0, len(body)+4), uint64(count))
+	resp = wire.AppendUvarint(make([]byte, 0, len(body)+4), uint64(count))
 	resp = append(resp, body...)
 	c.s.opts.Admission.Charge(tenant, int64(len(resp)))
-	done(nil)
-	return c.respondTraced(tc, wire.StatusOK, resp)
+	return wire.StatusOK, resp, nil
 }
 
 // prefixEnd returns the smallest key greater than every key with the

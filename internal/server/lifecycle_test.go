@@ -1,9 +1,11 @@
 package server_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +15,7 @@ import (
 	"lsmlab/internal/events"
 	"lsmlab/internal/server"
 	"lsmlab/internal/vfs"
+	"lsmlab/internal/wire"
 )
 
 func TestGracefulDrainCompletesInFlight(t *testing.T) {
@@ -308,5 +311,128 @@ func TestNetworkWritesFeedCommitGroups(t *testing.T) {
 	}
 	if connOpens == 0 || reqEnds == 0 {
 		t.Fatalf("event stream missing network events: conn-open=%d request-end=%d", connOpens, reqEnds)
+	}
+}
+
+// TestSlowClientCutOffByWriteTimeout: a raw connection pipelines GETs
+// of a large value and never reads its responses. Once the socket
+// buffers fill, the server's write blocks; WriteTimeout must cut the
+// connection off (ConnClose emitted), other connections must be served
+// meanwhile, the drain must return, and no goroutine may be left
+// behind.
+func TestSlowClientCutOffByWriteTimeout(t *testing.T) {
+	const writeTimeout = time.Second
+	db, err := core.Open(core.DefaultOptions(vfs.NewMem(), "db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.Put([]byte("big"), bytes.Repeat([]byte("v"), 64<<10)); err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	ring := events.NewRing(1 << 12)
+	srv := server.New(db, server.Options{WriteTimeout: writeTimeout, EventListener: ring})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srv.Serve(ln) }()
+	addr := ln.Addr().String()
+
+	// 1 000 responses of 64 KiB is far more than loopback socket
+	// buffers hold, so the server's writes must stall.
+	slow, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	var burst []byte
+	for i := 0; i < 1000; i++ {
+		burst = wire.AppendFrame(burst, wire.OpGet, wire.AppendBytes(nil, []byte("big")))
+	}
+	sent := time.Now()
+	if _, err := slow.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+
+	// Another connection is served while the slow one is stuck.
+	cl, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		if err := cl.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("v")); err != nil {
+			t.Fatalf("put %d beside a stuck connection: %v", i, err)
+		}
+		if _, err := cl.Get([]byte(fmt.Sprintf("k%02d", i))); err != nil {
+			t.Fatalf("get %d beside a stuck connection: %v", i, err)
+		}
+	}
+
+	slowAddr := slow.LocalAddr().String()
+	closedAt := func() (time.Time, bool) {
+		for _, e := range ring.Events() {
+			if e.Type == events.ConnClose && e.Path == slowAddr {
+				return time.Unix(0, e.TimeNs), true
+			}
+		}
+		return time.Time{}, false
+	}
+	deadline := sent.Add(writeTimeout + 3*time.Second)
+	for {
+		if _, ok := closedAt(); ok || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	at, ok := closedAt()
+	if !ok {
+		t.Fatalf("slow connection still open %v after its burst (WriteTimeout %v)", time.Since(sent), writeTimeout)
+	}
+	// No socket write starts before the burst, so no write can time out
+	// sooner than WriteTimeout after it.
+	if d := at.Sub(sent); d < writeTimeout {
+		t.Fatalf("slow connection closed %v after its burst, before WriteTimeout %v", d, writeTimeout)
+	}
+
+	cl.Close()
+	if err := srv.Shutdown(5 * time.Second); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if err := <-serveDone; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	slow.Close()
+	waitFor(t, "goroutines back to their baseline", func() bool { return runtime.NumGoroutine() <= base })
+}
+
+// TestResponsesFlushBeforeBlockingRead: responses to requests pipelined
+// ahead of a frame that arrives in two writes are delivered without
+// waiting for the rest of that frame — the connection flushes before
+// any read that could block.
+func TestResponsesFlushBeforeBlockingRead(t *testing.T) {
+	_, _, addr := testServer(t, nil, nil)
+	nc := rawConn(t, addr)
+	get := wire.AppendFrame(nil, wire.OpGet, wire.AppendBytes(nil, []byte("absent")))
+	var head []byte
+	head = wire.AppendFrame(head, wire.OpPing, nil)
+	head = wire.AppendFrame(head, wire.OpPing, nil)
+	head = append(head, get[:6]...)
+	if _, err := nc.Write(head); err != nil {
+		t.Fatal(err)
+	}
+	nc.SetReadDeadline(time.Now().Add(2 * time.Second))
+	for i := 0; i < 2; i++ {
+		if status, _, err := readResp(t, nc); err != nil || status != wire.StatusOK {
+			t.Fatalf("ping %d ahead of a split frame: status=%#x err=%v", i, status, err)
+		}
+	}
+	if _, err := nc.Write(get[6:]); err != nil {
+		t.Fatal(err)
+	}
+	if status, _, err := readResp(t, nc); err != nil || status != wire.StatusNotFound {
+		t.Fatalf("split GET: status=%#x err=%v", status, err)
 	}
 }

@@ -2,10 +2,10 @@
 // sharded partition.Store, via the Engine interface — over TCP with
 // the length-prefixed binary protocol of internal/wire. Connections
 // are pipelined: a client may have many requests in flight; the
-// server answers in arrival order. Each connection runs one read
-// goroutine (decode, execute) and one write goroutine (respond,
-// flush), so reading the next request overlaps with writing the
-// previous response.
+// server answers in arrival order. Each connection is served by one
+// goroutine that decodes a request, executes it and writes its
+// response into a buffer, flushing only before a read that could
+// block, so a pipelined burst is answered with one write.
 //
 // The write path is the point: pipelined PUT/DELETE frames that are
 // already buffered on a connection are folded into a single core.Batch
@@ -188,7 +188,7 @@ type Server struct {
 	throttleMu    sync.Mutex
 	throttleStart map[string]int64
 
-	wg sync.WaitGroup // one unit per connection goroutine
+	wg sync.WaitGroup // one unit per connection
 }
 
 // New returns a server for db — a *core.DB, a *partition.Store, or any
@@ -268,12 +268,11 @@ func (s *Server) Serve(ln net.Listener) error {
 		}
 		c := newConn(s, nc)
 		s.conns[c] = struct{}{}
-		s.wg.Add(2)
+		s.wg.Add(1)
 		s.mu.Unlock()
 		s.m.ConnsOpened.Add(1)
 		s.emit(events.Event{Type: events.ConnOpen, JobID: c.id, Path: nc.RemoteAddr().String()})
 		go c.readLoop()
-		go c.writeLoop()
 	}
 }
 
@@ -349,8 +348,8 @@ func (s *Server) Shutdown(grace time.Duration) error {
 	if ln != nil {
 		ln.Close()
 	}
-	// Kick readers out of blocking reads; in-flight handlers and their
-	// queued responses still complete before each connection closes.
+	// Kick readers out of blocking reads; in-flight handlers still
+	// complete and flush their responses before each connection closes.
 	for _, c := range conns {
 		c.nc.SetReadDeadline(time.Now())
 	}
