@@ -429,16 +429,26 @@ func BenchmarkEngineScan(b *testing.B) {
 	}
 	db.Flush()
 	db.WaitIdle()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		start := int64(i % (n - 200))
-		kvs, err := db.Scan(workload.Key(start), workload.Key(start+100), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(kvs) == 0 {
-			b.Fatal("empty scan")
-		}
+	for _, c := range []struct {
+		name         string
+		width, limit int64
+	}{
+		{"range100", 100, 0}, // every key of a 100-key range
+		{"limit50", 50, 50},  // embed-mixed-scan's shape: [k, k+50) capped at 50
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				start := int64(i % (n - 200))
+				kvs, err := db.Scan(workload.Key(start), workload.Key(start+c.width), int(c.limit))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(kvs) == 0 {
+					b.Fatal("empty scan")
+				}
+			}
+		})
 	}
 }
 

@@ -133,6 +133,10 @@ type DB struct {
 	prof   *profiler
 	stSink sstable.ReadStats
 
+	// iterStacks pools the bodies of closed iterators (iterator.go), so
+	// a scan reuses its cursors, merge heap and buffers.
+	iterStacks sync.Pool
+
 	// listener receives lifecycle events (nil = disabled); jobIDs pairs
 	// the begin/end events of flush, compaction, and checkpoint jobs.
 	listener events.Listener

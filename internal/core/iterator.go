@@ -4,6 +4,7 @@ import (
 	"bytes"
 
 	"lsmlab/internal/kv"
+	"lsmlab/internal/sstable"
 	"lsmlab/internal/wisckey"
 )
 
@@ -20,25 +21,40 @@ type IterOptions struct {
 // Iterator yields the live user keys and values of the store in key
 // order, merging every run, hiding tombstoned and range-deleted data,
 // and resolving WiscKey value pointers (tutorial §2.1.2 Scan).
+//
+// The handle owns its read state and borrows an iterStack from the
+// DB's pool for as long as it is open; Close returns the stack, and
+// every method of a closed handle finds no stack to touch.
 type Iterator struct {
-	db      *DB
-	rs      *readState // pinned until Close: keeps every source alive
-	merge   *kv.MergingIterator
-	rangeTs []kv.RangeTombstone
-	opts    IterOptions
-	seq     kv.SeqNum
+	db   *DB
+	rs   *readState // pinned until Close: keeps every source alive
+	s    *iterStack // nil once closed
+	opts IterOptions
+	seq  kv.SeqNum
 
-	key        []byte
-	value      []byte
 	valid      bool
 	srcPastKey bool // merge resolution left the stream on the next key
 	err        error
+}
+
+// iterStack is the reusable body of an Iterator: everything NewIterator
+// would otherwise build per call. Its slices and buffers keep their
+// capacity across uses; Iterator.Close drops every reader and block
+// reference before pooling it.
+type iterStack struct {
+	sources []kv.Iterator
+	tables  []*sstable.TableIter // cursors, reused in order
+	merge   kv.MergingIterator
+	rangeTs []kv.RangeTombstone
 
 	// sinks are the profiler's per-level ReadStats shims for this
 	// iterator's table sources (one per level, so scan block fetches
 	// attribute to the level they came from). Empty when the profiler
 	// is off.
 	sinks []profSink
+
+	key   []byte
+	value []byte
 }
 
 // NewIterator returns an iterator over the current contents.
@@ -48,21 +64,24 @@ func (db *DB) NewIterator(opts IterOptions) (*Iterator, error) {
 		return nil, err
 	}
 	db.m.Scans.Add(1)
-	it := &Iterator{db: db, rs: rs, opts: opts, seq: db.readSeq(opts.snapshot)}
+	s, _ := db.iterStacks.Get().(*iterStack)
+	if s == nil {
+		s = new(iterStack)
+	}
+	it := &Iterator{db: db, rs: rs, s: s, opts: opts, seq: db.readSeq(opts.snapshot)}
 
-	var sources []kv.Iterator
 	for _, mw := range rs.mems {
-		sources = append(sources, mw.mt.NewIterator())
-		it.rangeTs = append(it.rangeTs, mw.rangeTombstones()...)
+		s.sources = append(s.sources, mw.mt.NewIterator())
+		s.rangeTs = append(s.rangeTs, mw.rangeTombstones()...)
 	}
 	if db.prof != nil {
-		it.sinks = make([]profSink, len(rs.version.Levels))
-		for i := range it.sinks {
+		for i := range rs.version.Levels {
 			// Weight 1: scans attribute every block exactly (the setup
 			// cost amortizes over the entries scanned).
-			it.sinks[i] = profSink{base: db.stSink, lv: db.prof.levels, level: i, w: 1}
+			s.sinks = append(s.sinks, profSink{base: db.stSink, lv: db.prof.levels, level: i, w: 1})
 		}
 	}
+	n := 0
 	for lvl, level := range rs.version.Levels {
 		for _, run := range level.Runs {
 			for _, f := range run.Files {
@@ -75,26 +94,33 @@ func (db *DB) NewIterator(opts IterOptions) (*Iterator, error) {
 				}
 				r, err := rs.reader(f.Num)
 				if err != nil {
+					s.merge.Reset(s.sources) // so Close closes what is open
 					it.Close()
 					return nil, err
 				}
-				if it.sinks != nil {
-					sources = append(sources, r.NewIteratorWith(&it.sinks[lvl]))
-				} else {
-					sources = append(sources, r.NewIterator())
+				if n == len(s.tables) {
+					s.tables = append(s.tables, new(sstable.TableIter))
 				}
-				it.rangeTs = append(it.rangeTs, r.RangeTombstones()...)
+				t := s.tables[n]
+				n++
+				var st sstable.ReadStats
+				if db.prof != nil {
+					st = &s.sinks[lvl]
+				}
+				r.InitIterator(t, st)
+				s.sources = append(s.sources, t)
+				s.rangeTs = append(s.rangeTs, r.RangeTombstones()...)
 			}
 		}
 	}
-	it.merge = kv.NewMergingIterator(sources...)
+	s.merge.Reset(s.sources)
 	return it, nil
 }
 
 // covered reports whether the entry is shadowed by a visible, newer
 // range tombstone.
 func (it *Iterator) covered(ukey []byte, seq kv.SeqNum) bool {
-	for _, rt := range it.rangeTs {
+	for _, rt := range it.s.rangeTs {
 		if rt.Seq <= it.seq && rt.Seq > seq && rt.Covers(ukey, seq) {
 			return true
 		}
@@ -114,14 +140,14 @@ func (it *Iterator) inBounds(ukey []byte) bool {
 // visible live version of some user key, loading it into key/value.
 func (it *Iterator) settle(srcValid bool) bool {
 	for srcValid {
-		ukey, seq, kind, _ := kv.ParseKey(it.merge.Key())
+		ukey, seq, kind, _ := kv.ParseKey(it.s.merge.Key())
 		if !it.inBounds(ukey) {
 			it.valid = false
 			return false
 		}
 		// Skip versions newer than the read snapshot.
 		if !kv.Visible(seq, it.seq) {
-			srcValid = it.merge.Next()
+			srcValid = it.s.merge.Next()
 			continue
 		}
 		// First visible version of this key is the newest one. Decide
@@ -134,9 +160,9 @@ func (it *Iterator) settle(srcValid bool) bool {
 		}
 		live := (kind == kv.KindSet || kind == kv.KindValuePointer) && !it.covered(ukey, seq)
 		if live {
-			it.key = append(it.key[:0], ukey...)
+			it.s.key = append(it.s.key[:0], ukey...)
 			if kind == kv.KindValuePointer {
-				p, err := wisckey.DecodePointer(it.merge.Value())
+				p, err := wisckey.DecodePointer(it.s.merge.Value())
 				if err != nil {
 					it.err = err
 					it.valid = false
@@ -148,9 +174,9 @@ func (it *Iterator) settle(srcValid bool) bool {
 					it.valid = false
 					return false
 				}
-				it.value = append(it.value[:0], v...)
+				it.s.value = append(it.s.value[:0], v...)
 			} else {
-				it.value = append(it.value[:0], it.merge.Value()...)
+				it.s.value = append(it.s.value[:0], it.s.merge.Value()...)
 			}
 			it.valid = true
 			// Leave the source on this entry; Next will skip the rest of
@@ -159,13 +185,13 @@ func (it *Iterator) settle(srcValid bool) bool {
 		}
 		// Dead key: skip every remaining version of it. (Copy the key —
 		// the merged iterator's buffer is invalidated by Next.)
-		it.key = append(it.key[:0], ukey...)
-		srcValid = it.skipKey(it.key)
+		it.s.key = append(it.s.key[:0], ukey...)
+		srcValid = it.skipKey(it.s.key)
 	}
 	// Exhaustion and a corrupt block look identical from here; keep the
 	// distinction so Error/Close report a truncated scan.
 	if it.err == nil {
-		it.err = it.merge.Error()
+		it.err = it.s.merge.Error()
 	}
 	it.valid = false
 	return false
@@ -174,8 +200,8 @@ func (it *Iterator) settle(srcValid bool) bool {
 // skipKey advances the source past every version of ukey, reporting
 // whether the source remains valid.
 func (it *Iterator) skipKey(ukey []byte) bool {
-	for it.merge.Next() {
-		if kv.CompareUser(kv.UserKey(it.merge.Key()), ukey) != 0 {
+	for it.s.merge.Next() {
+		if kv.CompareUser(kv.UserKey(it.s.merge.Key()), ukey) != 0 {
 			return true
 		}
 	}
@@ -184,21 +210,26 @@ func (it *Iterator) skipKey(ukey []byte) bool {
 
 // First positions at the first live entry.
 func (it *Iterator) First() bool {
-	var ok bool
-	if it.opts.LowerBound != nil {
-		ok = it.merge.SeekGE(kv.MakeSearchKey(it.opts.LowerBound, kv.MaxSeqNum))
-	} else {
-		ok = it.merge.First()
+	if it.s == nil {
+		return false
 	}
-	return it.settle(ok)
+	if it.opts.LowerBound != nil {
+		return it.SeekGE(it.opts.LowerBound)
+	}
+	return it.settle(it.s.merge.First())
 }
 
 // SeekGE positions at the first live entry with user key >= ukey.
 func (it *Iterator) SeekGE(ukey []byte) bool {
+	if it.s == nil {
+		return false
+	}
 	if it.opts.LowerBound != nil && bytes.Compare(ukey, it.opts.LowerBound) < 0 {
 		ukey = it.opts.LowerBound
 	}
-	return it.settle(it.merge.SeekGE(kv.MakeSearchKey(ukey, kv.MaxSeqNum)))
+	// The search key borrows the key buffer, which settle overwrites.
+	it.s.key = kv.AppendSearchKey(it.s.key[:0], ukey, kv.MaxSeqNum)
+	return it.settle(it.s.merge.SeekGE(it.s.key))
 }
 
 // resolveMergeInline is called with the merged stream positioned on the
@@ -212,31 +243,31 @@ func (it *Iterator) resolveMergeInline(ukey []byte) bool {
 		it.valid = false
 		return false
 	}
-	it.key = append(it.key[:0], ukey...)
-	newestFirst := [][]byte{cp(it.merge.Value())}
+	it.s.key = append(it.s.key[:0], ukey...)
+	newestFirst := [][]byte{cp(it.s.merge.Value())}
 	var base []byte
 	it.srcPastKey = true // assume exhaustion; corrected on base/tombstone
-	for it.merge.Next() {
-		uk, seq, kind, _ := kv.ParseKey(it.merge.Key())
-		if kv.CompareUser(uk, it.key) != 0 {
+	for it.s.merge.Next() {
+		uk, seq, kind, _ := kv.ParseKey(it.s.merge.Key())
+		if kv.CompareUser(uk, it.s.key) != 0 {
 			break // stream now on the next key
 		}
 		if !kv.Visible(seq, it.seq) {
 			continue
 		}
-		if it.covered(it.key, seq) {
+		if it.covered(it.s.key, seq) {
 			it.srcPastKey = false // still on this key; Next will skip it
 			break
 		}
 		if kind == kv.KindMerge {
-			newestFirst = append(newestFirst, cp(it.merge.Value()))
+			newestFirst = append(newestFirst, cp(it.s.merge.Value()))
 			continue
 		}
 		it.srcPastKey = false
 		if kind == kv.KindSet {
-			base = cp(it.merge.Value())
+			base = cp(it.s.merge.Value())
 		} else if kind == kv.KindValuePointer {
-			p, err := wisckey.DecodePointer(it.merge.Value())
+			p, err := wisckey.DecodePointer(it.s.merge.Value())
 			if err != nil {
 				it.err = err
 				it.valid = false
@@ -254,13 +285,13 @@ func (it *Iterator) resolveMergeInline(ukey []byte) bool {
 	for i := len(newestFirst) - 1; i >= 0; i-- {
 		operands = append(operands, newestFirst[i])
 	}
-	v, err := it.db.opts.MergeOperator.FullMerge(it.key, base, operands)
+	v, err := it.db.opts.MergeOperator.FullMerge(it.s.key, base, operands)
 	if err != nil {
 		it.err = err
 		it.valid = false
 		return false
 	}
-	it.value = append(it.value[:0], v...)
+	it.s.value = append(it.s.value[:0], v...)
 	it.valid = true
 	return true
 }
@@ -276,30 +307,50 @@ func (it *Iterator) Next() bool {
 	}
 	if it.srcPastKey {
 		it.srcPastKey = false
-		return it.settle(it.merge.Valid())
+		return it.settle(it.s.merge.Valid())
 	}
-	return it.settle(it.skipKey(it.key))
+	return it.settle(it.skipKey(it.s.key))
 }
 
 // Valid reports whether the iterator rests on a live entry.
 func (it *Iterator) Valid() bool { return it.valid }
 
-// Key returns the current user key (stable until the next move).
-func (it *Iterator) Key() []byte { return it.key }
+// Key returns the current user key (stable until the next move or
+// Close; nil once closed).
+func (it *Iterator) Key() []byte {
+	if it.s == nil {
+		return nil
+	}
+	return it.s.key
+}
 
-// Value returns the current value (stable until the next move).
-func (it *Iterator) Value() []byte { return it.value }
+// Value returns the current value (stable until the next move or
+// Close; nil once closed).
+func (it *Iterator) Value() []byte {
+	if it.s == nil {
+		return nil
+	}
+	return it.s.value
+}
 
 // Err returns the first error the iterator encountered.
 func (it *Iterator) Err() error { return it.err }
 
-// Close releases the sources the iterator pinned.
+// Close releases the sources the iterator pinned and returns its stack
+// to the pool. Closing twice is a no-op.
 func (it *Iterator) Close() error {
-	if it.merge != nil {
-		it.merge.Close()
+	s := it.s
+	if s == nil {
+		return it.err
 	}
+	it.s, it.valid = nil, false
+	s.merge.Close() // closes every source; the table cursors drop their readers
+	clear(s.sources)
+	clear(s.rangeTs)
+	s.sources, s.rangeTs, s.sinks = s.sources[:0], s.rangeTs[:0], s.sinks[:0]
+	s.key, s.value = s.key[:0], s.value[:0]
+	it.db.iterStacks.Put(s)
 	it.rs.unpin()
 	it.rs = nil
-	it.valid = false
 	return it.err
 }

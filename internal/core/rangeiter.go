@@ -22,16 +22,43 @@ type RangeIter interface {
 
 // Collect copies out up to limit entries of it from its first (limit
 // <= 0: all of them) and returns them with the iterator's error.
+//
+// One call's keys and values share one backing buffer: its first chunk
+// fits the first entry × min(limit, collectAhead) up to
+// collectFirstChunk bytes, and each further chunk doubles the last, so
+// it allocates a small multiple of the bytes it returns. Keys and
+// values are cut with full slice expressions, so appending to one
+// result reallocates it rather than overwriting the next.
 func Collect(it RangeIter, limit int) ([]KV, error) {
+	ahead := collectAhead
 	var out []KV
+	if limit > 0 {
+		ahead = min(limit, collectAhead)
+		out = make([]KV, 0, ahead)
+	}
+	var buf []byte
 	for ok := it.First(); ok; ok = it.Next() {
-		out = append(out, KV{Key: cp(it.Key()), Value: cp(it.Value())})
+		k, v := it.Key(), it.Value()
+		if n := len(k) + len(v); cap(buf)-len(buf) < n {
+			size := 2 * cap(buf)
+			if buf == nil {
+				size = min(n*ahead, collectFirstChunk)
+			}
+			buf = make([]byte, 0, max(n, size))
+		}
+		off, mid := len(buf), len(buf)+len(k)
+		buf = append(append(buf, k...), v...)
+		out = append(out, KV{Key: buf[off:mid:mid], Value: buf[mid:len(buf):len(buf)]})
 		if limit > 0 && len(out) >= limit {
 			break
 		}
 	}
 	return out, it.Err()
 }
+
+// collectAhead is how many entries Collect sizes for before seeing
+// them; collectFirstChunk caps its first buffer chunk in bytes.
+const collectAhead, collectFirstChunk = 64, 64 << 10
 
 // NewRangeIter returns an iterator over the live entries in
 // [lower, upper) — nil bounds mean unbounded — typed as the engine-

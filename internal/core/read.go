@@ -301,7 +301,8 @@ type KV struct {
 
 // Scan returns up to limit live entries with keys in [start, end);
 // limit <= 0 means unlimited. It is a convenience wrapper over
-// NewIterator (tutorial §2.1.2 Scan).
+// NewIterator and Collect (tutorial §2.1.2 Scan): the keys and values
+// of one call share one backing buffer.
 func (db *DB) Scan(start, end []byte, limit int) ([]KV, error) {
 	return db.scan(start, end, limit, 0)
 }
@@ -340,19 +341,14 @@ func (db *DB) scan(start, end []byte, limit int, traceID uint64) ([]KV, error) {
 	if sp != nil {
 		t0 = db.opts.NowNs()
 	}
-	var out []KV
-	var bytes int64
-	for ok := it.First(); ok; ok = it.Next() {
-		out = append(out, KV{Key: cp(it.Key()), Value: cp(it.Value())})
-		bytes += int64(len(it.Key()) + len(it.Value()))
-		if limit > 0 && len(out) >= limit {
-			break
-		}
-	}
-	err = it.Err()
+	out, err := Collect(it, limit)
 	db.m.ScanEntries.Add(int64(len(out)))
 	if sp != nil {
 		sp.StageSince("iterate", t0, db.opts.NowNs())
+		var bytes int64
+		for _, e := range out {
+			bytes += int64(len(e.Key) + len(e.Value))
+		}
 		sp.AddEntries(len(out))
 		sp.AddBytes(bytes)
 		sp.SetErr(err)

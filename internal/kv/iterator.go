@@ -151,9 +151,9 @@ func (h *mergeHeap) Pop() interface{} {
 // the job of compaction iterators and read paths, which also know about
 // snapshots and tombstones).
 type MergingIterator struct {
-	all  []*mergeItem
-	heap mergeHeap
-	err  error
+	items []mergeItem // one per source; the heap points into it
+	heap  mergeHeap
+	err   error
 }
 
 // NewMergingIterator merges the given iterators. Order matters only for
@@ -161,20 +161,30 @@ type MergingIterator struct {
 // sources).
 func NewMergingIterator(iters ...Iterator) *MergingIterator {
 	m := &MergingIterator{}
-	for i, it := range iters {
-		if it == nil {
-			continue
-		}
-		m.all = append(m.all, &mergeItem{iter: it, index: i})
-	}
+	m.Reset(iters)
 	return m
+}
+
+// Reset points m at a new set of sources, as NewMergingIterator does,
+// reusing its merge items and heap and clearing any error of the last
+// use. The caller owns iters; m keeps no reference to the slice.
+func (m *MergingIterator) Reset(iters []Iterator) {
+	clear(m.items) // drop the last sources
+	m.items = m.items[:0]
+	m.heap = m.heap[:0]
+	m.err = nil
+	for i, it := range iters {
+		if it != nil {
+			m.items = append(m.items, mergeItem{iter: it, index: i})
+		}
+	}
 }
 
 // First implements Iterator.
 func (m *MergingIterator) First() bool {
 	m.heap = m.heap[:0]
-	for _, item := range m.all {
-		if item.iter.First() {
+	for i := range m.items {
+		if item := &m.items[i]; item.iter.First() {
 			m.heap = append(m.heap, item)
 		} else {
 			m.noteExhausted(item.iter)
@@ -187,8 +197,8 @@ func (m *MergingIterator) First() bool {
 // SeekGE implements Iterator.
 func (m *MergingIterator) SeekGE(ikey []byte) bool {
 	m.heap = m.heap[:0]
-	for _, item := range m.all {
-		if item.iter.SeekGE(ikey) {
+	for i := range m.items {
+		if item := &m.items[i]; item.iter.SeekGE(ikey) {
 			m.heap = append(m.heap, item)
 		} else {
 			m.noteExhausted(item.iter)
@@ -236,15 +246,17 @@ func (m *MergingIterator) Key() []byte { return m.heap[0].iter.Key() }
 func (m *MergingIterator) Value() []byte { return m.heap[0].iter.Value() }
 
 // Close closes every source iterator, returning the deferred read
-// error if one occurred, else the first close error.
+// error if one occurred, else the first close error. It drops its
+// references to the sources; Reset makes m usable again.
 func (m *MergingIterator) Close() error {
 	first := m.err
-	for _, item := range m.all {
+	for _, item := range m.items {
 		if err := item.iter.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
-	m.all = nil
-	m.heap = nil
+	clear(m.items)
+	m.items = m.items[:0]
+	m.heap = m.heap[:0]
 	return first
 }

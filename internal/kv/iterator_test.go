@@ -169,3 +169,25 @@ func TestMergingIteratorRandomizedAgainstSort(t *testing.T) {
 		}
 	}
 }
+
+// failingIterator is an empty source that reports a deferred read
+// error, as a table cursor does after a corrupt block.
+type failingIterator struct{ EmptyIterator }
+
+func (failingIterator) Error() error { return fmt.Errorf("bad block") }
+
+// TestMergingIteratorResetClearsError reuses a merge that consumed an
+// erroring source: Reset must clear the error and every old source.
+func TestMergingIteratorResetClearsError(t *testing.T) {
+	m := NewMergingIterator(NewSliceIterator(entriesOf("a@1=x", "c@1=y")), failingIterator{})
+	if collect(m); m.Error() == nil {
+		t.Fatal("erroring source not reported")
+	}
+	m.Reset([]Iterator{NewSliceIterator(entriesOf("b@2=z"))})
+	if got := collect(m); fmt.Sprint(got) != "[b@2=z]" || m.Error() != nil {
+		t.Errorf("after Reset: %v, error %v; want [b@2=z] and no error", got, m.Error())
+	}
+	if err := m.Close(); err != nil || m.First() {
+		t.Errorf("after Close: error %v, First %v", err, m.Valid())
+	}
+}

@@ -298,18 +298,23 @@ func (r *Reader) GetScratched(ukey, search []byte, hash uint64, st ReadStats, sc
 
 // NewIterator returns an iterator over the table's point entries.
 func (r *Reader) NewIterator() kv.Iterator {
-	return &tableIterator{r: r, st: r.opts.Stats, index: newBlockIterator(r.index)}
+	it := new(TableIter)
+	r.InitIterator(it, nil)
+	return it
 }
 
-// NewIteratorWith is NewIterator with a per-iterator stats sink
-// replacing the reader's configured ReadStats, so a scan can attribute
-// its block fetches to the level it is reading. A nil st reports to
-// r.opts.Stats as usual.
-func (r *Reader) NewIteratorWith(st ReadStats) kv.Iterator {
+// InitIterator points the caller-owned cursor it at this table,
+// unpositioned, keeping the key buffers of its last use so a reused
+// cursor stops allocating. A non-nil st replaces the reader's
+// configured ReadStats for this cursor, so a scan can attribute its
+// block fetches to the level it is reading.
+func (r *Reader) InitIterator(it *TableIter, st ReadStats) {
 	if st == nil {
 		st = r.opts.Stats
 	}
-	return &tableIterator{r: r, st: st, index: newBlockIterator(r.index)}
+	it.r, it.st, it.loaded, it.err = r, st, false, nil
+	it.index.reset(r.index)
+	it.data.reset(nil)
 }
 
 // BlockSpans invokes fn for every data block with its file offset and
@@ -393,18 +398,20 @@ func (r *Reader) VerifyChecksums() (int64, error) {
 // Close releases the underlying file.
 func (r *Reader) Close() error { return r.f.Close() }
 
-// tableIterator is the two-level iterator: an index cursor selects data
-// blocks, a block cursor walks entries.
-type tableIterator struct {
-	r     *Reader
-	st    ReadStats
-	index *blockIterator
-	data  *blockIterator
-	err   error
+// TableIter is the two-level table cursor: an index cursor selects
+// data blocks, a block cursor walks entries. Reader.InitIterator points
+// one at a table; Close drops its reader and block references.
+type TableIter struct {
+	r      *Reader
+	st     ReadStats
+	index  blockIterator
+	data   blockIterator
+	loaded bool // data holds the block the index cursor points at
+	err    error
 }
 
 // loadCurrentBlock opens the data block the index cursor points at.
-func (it *tableIterator) loadCurrentBlock() bool {
+func (it *TableIter) loadCurrentBlock() bool {
 	h, err := decodeHandle(it.index.Value())
 	if err != nil {
 		it.err = err
@@ -415,27 +422,24 @@ func (it *tableIterator) loadCurrentBlock() bool {
 		it.err = err
 		return false
 	}
-	it.data = newBlockIterator(b)
+	it.data.reset(b)
+	it.loaded = true
 	return true
 }
 
-func (it *tableIterator) First() bool {
-	it.data = nil
-	if !it.index.First() {
-		return false
-	}
-	if !it.loadCurrentBlock() {
+// First implements kv.Iterator.
+func (it *TableIter) First() bool {
+	it.loaded = false
+	if !it.index.First() || !it.loadCurrentBlock() {
 		return false
 	}
 	return it.data.First()
 }
 
-func (it *tableIterator) SeekGE(ikey []byte) bool {
-	it.data = nil
-	if !it.index.SeekGE(ikey) {
-		return false
-	}
-	if !it.loadCurrentBlock() {
+// SeekGE implements kv.Iterator.
+func (it *TableIter) SeekGE(ikey []byte) bool {
+	it.loaded = false
+	if !it.index.SeekGE(ikey) || !it.loadCurrentBlock() {
 		return false
 	}
 	if it.data.SeekGE(ikey) {
@@ -446,19 +450,17 @@ func (it *tableIterator) SeekGE(ikey []byte) bool {
 	return it.advanceBlock()
 }
 
-func (it *tableIterator) advanceBlock() bool {
-	if !it.index.Next() {
-		it.data = nil
-		return false
-	}
-	if !it.loadCurrentBlock() {
+func (it *TableIter) advanceBlock() bool {
+	if !it.index.Next() || !it.loadCurrentBlock() {
+		it.loaded = false
 		return false
 	}
 	return it.data.First()
 }
 
-func (it *tableIterator) Next() bool {
-	if it.data == nil {
+// Next implements kv.Iterator.
+func (it *TableIter) Next() bool {
+	if !it.loaded {
 		return false
 	}
 	if it.data.Next() {
@@ -467,26 +469,33 @@ func (it *tableIterator) Next() bool {
 	return it.advanceBlock()
 }
 
-func (it *tableIterator) Valid() bool { return it.data != nil && it.data.Valid() }
+// Valid implements kv.Iterator.
+func (it *TableIter) Valid() bool { return it.loaded && it.data.Valid() }
 
 // Error returns the deferred block-read error, if any. Positioning
 // returns false both at end-of-table and on a corrupt block, so bulk
 // consumers (compaction, scans) must check this after iterating — see
 // kv.IterError.
-func (it *tableIterator) Error() error { return it.err }
+func (it *TableIter) Error() error { return it.err }
 
-func (it *tableIterator) Key() []byte { return it.data.Key() }
+// Key implements kv.Iterator.
+func (it *TableIter) Key() []byte { return it.data.Key() }
 
-func (it *tableIterator) Value() []byte { return it.data.Value() }
+// Value implements kv.Iterator.
+func (it *TableIter) Value() []byte { return it.data.Value() }
 
-func (it *tableIterator) Close() error {
-	if it.err != nil {
-		return it.err
+// Close reports the cursor's first error and drops its reader and
+// block references; InitIterator makes it usable again.
+func (it *TableIter) Close() error {
+	err := it.err
+	if err == nil && it.loaded {
+		err = it.data.Close()
 	}
-	if it.data != nil {
-		if err := it.data.Close(); err != nil {
-			return err
-		}
+	if err == nil {
+		err = it.index.Close()
 	}
-	return it.index.Close()
+	it.r, it.st, it.loaded = nil, nil, false
+	it.index.reset(nil)
+	it.data.reset(nil)
+	return err
 }
