@@ -43,7 +43,7 @@ type Iterator struct {
 // reference before pooling it.
 type iterStack struct {
 	sources []kv.Iterator
-	tables  []*sstable.TableIter // cursors, reused in order
+	tables  []*sstable.TableIter // cursors and their block buffers, reused in order
 	merge   kv.MergingIterator
 	rangeTs []kv.RangeTombstone
 

@@ -13,8 +13,9 @@ import (
 )
 
 // readScratch carries the reusable buffers of one point lookup: the
-// search key shared by every probe and the sstable cursors. Pooled so
-// the steady-state get path does zero heap allocations (proved by
+// search key shared by every probe, and the sstable cursors with the
+// buffer a block the cache refuses is read into. Pooled so the
+// steady-state get path does zero heap allocations (proved by
 // BenchmarkGetHot).
 type readScratch struct {
 	search []byte
@@ -42,6 +43,10 @@ func (db *DB) readSeq(snap kv.SeqNum) kv.SeqNum {
 }
 
 // Get returns the current value of key, or ErrNotFound.
+//
+// The value is read-only: it may alias the memtable or a cached block,
+// so a caller that modifies it corrupts every later read of the key.
+// A value read from a block the cache refused is a private copy.
 func (db *DB) Get(key []byte) ([]byte, error) { return db.get(key, 0, 0) }
 
 // GetTraced is Get carrying a wire-propagated trace id: the lookup's
@@ -115,7 +120,8 @@ func (db *DB) getInner(key []byte, snap kv.SeqNum, traceID uint64) ([]byte, erro
 	}
 	// e.Key aliases the scratch; read everything needed from it before
 	// the scratch returns to the pool. e.Value aliases the memtable or
-	// an immutable cached block and stays valid.
+	// an immutable cached block, or is a copy out of a refused block
+	// read into the scratch, and stays valid either way.
 	kind := e.Kind()
 	readScratchPool.Put(sc)
 	switch kind {

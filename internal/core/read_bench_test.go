@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"lsmlab/internal/kv"
 	"lsmlab/internal/vfs"
 )
 
@@ -89,6 +90,94 @@ func TestGetHotZeroAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("not-found Get allocates %.1f allocs/op, want 0", n)
+	}
+}
+
+// TestGetColdMissAllocs pins what a Get costs when it misses a full
+// block cache: the first miss on a block is refused admission and read
+// into the pooled scratch, so it allocates only the value copy; the
+// second miss admits the block, and the Get after that is a 0-alloc
+// hit.
+func TestGetColdMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	opts := DefaultOptions(vfs.NewMem(), "db")
+	opts.CacheBytes = 16 * 4 * 4096 // four blocks per cache shard
+	opts.DisableProfiler = true     // its top-K admits each new key once
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	val := make([]byte, 100)
+	for i := 0; i < 20000; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("k%06d", i)), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	db.WaitIdle()
+
+	// One user key per data block, with the block's cache key.
+	type blk struct {
+		key      []byte
+		num, off uint64
+	}
+	var blocks []blk
+	rs := db.state.Load()
+	for _, level := range rs.version.Levels {
+		for _, run := range level.Runs {
+			for _, f := range run.Files {
+				r, err := rs.reader(f.Num)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.BlockSpans(func(off uint64, last []byte) {
+					blocks = append(blocks, blk{append([]byte(nil), kv.UserKey(last)...), f.Num, off})
+				})
+			}
+		}
+	}
+	if len(blocks) < 400 {
+		t.Fatalf("%d blocks, want at least 400", len(blocks))
+	}
+	get := func(b blk) {
+		if _, err := db.Get(b.key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Fill every shard from the first half; the second half stays
+	// untouched, so no ghost fingerprint names its blocks.
+	for _, b := range blocks[:len(blocks)/2] {
+		get(b)
+	}
+	cold := blocks[len(blocks)/2:]
+	i := 0
+	n := testing.AllocsPerRun(40, func() { get(cold[i]); i++ })
+	t.Logf("%.1f allocs per refused cold miss", n)
+	for _, b := range cold[:i] {
+		if db.bcache.Contains(b.num, b.off) {
+			t.Fatalf("first miss on block %d@%d was admitted into a full cache", b.num, b.off)
+		}
+	}
+	if n > 1 {
+		t.Errorf("refused cold-miss Get allocates %.1f times, want at most 1 (the value copy)", n)
+	}
+
+	b := cold[i]
+	get(b)
+	if db.bcache.Contains(b.num, b.off) {
+		t.Fatal("first miss was admitted into a full cache")
+	}
+	get(b)
+	if !db.bcache.Contains(b.num, b.off) {
+		t.Fatal("second miss was not admitted")
+	}
+	if n := testing.AllocsPerRun(100, func() { get(b) }); n != 0 {
+		t.Errorf("Get on the admitted block allocates %.1f times, want 0", n)
 	}
 }
 

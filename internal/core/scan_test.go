@@ -378,3 +378,118 @@ func TestScansAgainstFlushCompactionStorm(t *testing.T) {
 	readers.Wait()
 	bg.Wait()
 }
+
+// TestReadsAgainstStormSmallCache runs gets and scans from eight
+// goroutines under a flush and compaction storm, on a block cache about
+// 5 % of the live data, so most blocks are refused admission and read
+// into the readers' own buffers (pooled get scratch, pooled table
+// cursors, compaction inputs). Every value must be whole and of a round
+// the key was written in while the read ran.
+func TestReadsAgainstStormSmallCache(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const keys = 1200
+	db, _ := testDB(t, func(o *Options) {
+		o.BlockSize = 256
+		o.CacheBytes = 10 << 10
+		o.Workers = 2
+	})
+	var lo, hi [keys]atomic.Int64
+	key := func(k int) []byte { return []byte(fmt.Sprintf("k%04d", k)) }
+	value := func(k int, round int64) []byte {
+		return []byte(fmt.Sprintf("%d|%s", round, bytes.Repeat(key(k), 30)))
+	}
+	// check reports whether v is key k's value of a round in [floor, hi].
+	check := func(k int, v []byte, floor int64) bool {
+		r, rest, ok := bytes.Cut(v, []byte("|"))
+		round, err := strconv.ParseInt(string(r), 10, 64)
+		return ok && err == nil && round >= floor && round <= hi[k].Load() &&
+			bytes.Equal(rest, bytes.Repeat(key(k), 30))
+	}
+	write := func(round int64) error {
+		for k := 0; k < keys; k++ {
+			hi[k].Store(round)
+			if err := db.Put(key(k), value(k, round)); err != nil {
+				return err
+			}
+			lo[k].Store(round)
+		}
+		return nil
+	}
+	if err := write(0); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	stopped := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return false
+		}
+	}
+	var bg, readers sync.WaitGroup
+	var nRead, nCompact atomic.Int64
+	bg.Add(1)
+	go func() {
+		defer bg.Done()
+		for !stopped() {
+			nCompact.Add(1)
+			if err := db.Compact(); err != nil {
+				t.Errorf("compact: %v", err)
+				return
+			}
+		}
+	}()
+	for g := 0; g < 8; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			for i := 0; !stopped(); i++ {
+				nRead.Add(1)
+				first := (g*131 + i*17) % keys
+				if g%2 == 0 { // getters
+					floor := lo[first].Load()
+					v, err := db.Get(key(first))
+					if err != nil || !check(first, v, floor) {
+						t.Errorf("get %s = %.20q…, %v; want a round in [%d, %d]", key(first), v, err, floor, hi[first].Load())
+						return
+					}
+					continue
+				}
+				limit := 1 + (g+i)%80
+				var floor [keys]int64
+				for k := range floor {
+					floor[k] = lo[k].Load()
+				}
+				kvs, err := db.Scan(key(first), nil, limit)
+				if err != nil || len(kvs) != min(limit, keys-first) {
+					t.Errorf("scan from %d limit %d: %d entries, %v", first, limit, len(kvs), err)
+					return
+				}
+				for j, e := range kvs {
+					if k := first + j; string(e.Key) != string(key(k)) || !check(k, e.Value, floor[k]) {
+						t.Errorf("scan from %d position %d: %q=%.20q…, want %s at a round in [%d, %d]",
+							first, j, e.Key, e.Value, key(k), floor[k], hi[k].Load())
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	for round := int64(1); nRead.Load() < 4000 || nCompact.Load() < 5; round++ {
+		if t.Failed() || round == 2000 {
+			t.Errorf("stopped at round %d: reads=%d compactions=%d", round, nRead.Load(), nCompact.Load())
+			break
+		}
+		if err := write(round); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	readers.Wait()
+	bg.Wait()
+	if live := db.state.Load().version.TotalSize(); uint64(db.opts.CacheBytes)*10 > live {
+		t.Errorf("cache %d B for %d B of tables: want at most a tenth", db.opts.CacheBytes, live)
+	}
+}

@@ -23,7 +23,8 @@ func (db *DB) NewSnapshot() *Snapshot {
 	return &Snapshot{db: db, seq: seq}
 }
 
-// Get reads a key as of the snapshot.
+// Get reads a key as of the snapshot. Like DB.Get, the value is
+// read-only: it may alias the memtable or a cached block.
 func (s *Snapshot) Get(key []byte) ([]byte, error) {
 	if s.released {
 		return nil, ErrClosed

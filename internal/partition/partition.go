@@ -160,7 +160,8 @@ func (s *Store) route(key []byte) *core.DB {
 // Put writes a key into its shard.
 func (s *Store) Put(key, value []byte) error { return s.route(key).Put(key, value) }
 
-// Get reads a key from its shard.
+// Get reads a key from its shard. Like core.DB.Get, the value is
+// read-only: it may alias the shard's memtable or a cached block.
 func (s *Store) Get(key []byte) ([]byte, error) { return s.route(key).Get(key) }
 
 // GetTraced is Get carrying a wire-propagated trace id.

@@ -104,29 +104,46 @@ type block struct {
 	restarts []uint32
 }
 
-// decodeBlock validates the CRC and parses the restart array.
+// decodeBlock validates the CRC and parses the restart array into a
+// new block.
 func decodeBlock(raw []byte) (*block, error) {
+	b := new(block)
+	if err := decodeBlockInto(b, raw); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// decodeBlockInto is decodeBlock into b, reusing its restart array. On
+// error b is left empty, never holding a previous block's restarts.
+func decodeBlockInto(b *block, raw []byte) error {
+	b.data, b.restarts = nil, b.restarts[:0]
 	if len(raw) < 12 {
-		return nil, fmt.Errorf("%w: block too short (%d bytes)", ErrCorrupt, len(raw))
+		return fmt.Errorf("%w: block too short (%d bytes)", ErrCorrupt, len(raw))
 	}
 	payload, ok := record.Unseal(raw)
 	if !ok {
-		return nil, fmt.Errorf("%w: block checksum mismatch", ErrCorrupt)
+		return fmt.Errorf("%w: block checksum mismatch", ErrCorrupt)
 	}
 	nRestarts := int(binary.LittleEndian.Uint32(payload[len(payload)-4:]))
 	restartsEnd := len(payload) - 4
 	restartsStart := restartsEnd - 4*nRestarts
 	if nRestarts <= 0 || restartsStart < 0 {
-		return nil, fmt.Errorf("%w: bad restart count %d", ErrCorrupt, nRestarts)
+		return fmt.Errorf("%w: bad restart count %d", ErrCorrupt, nRestarts)
 	}
-	restarts := make([]uint32, nRestarts)
-	for i := range restarts {
-		restarts[i] = binary.LittleEndian.Uint32(payload[restartsStart+4*i:])
-		if int(restarts[i]) > restartsStart {
-			return nil, fmt.Errorf("%w: restart offset out of range", ErrCorrupt)
+	if cap(b.restarts) < nRestarts {
+		b.restarts = make([]uint32, 0, nRestarts)
+	}
+	for i := 0; i < nRestarts; i++ {
+		r := binary.LittleEndian.Uint32(payload[restartsStart+4*i:])
+		if int(r) > restartsStart {
+			b.restarts = b.restarts[:0]
+			return fmt.Errorf("%w: restart offset out of range", ErrCorrupt)
 		}
+		b.restarts = append(b.restarts, r)
 	}
-	return &block{data: payload[:restartsStart], restarts: restarts}, nil
+	b.data = payload[:restartsStart]
+	return nil
 }
 
 // blockIterator iterates the entries of one block.

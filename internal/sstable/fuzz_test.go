@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"testing"
 
 	"lsmlab/internal/kv"
@@ -142,24 +143,39 @@ func TestOpenHostileHandle(t *testing.T) {
 
 // FuzzDecodeBlock throws arbitrary bytes at the block decoder, raw and
 // sealed with a valid checksum, then iterates and seeks whatever
-// decodes. Nothing may panic, and every failure is ErrCorrupt.
+// decodes. Nothing may panic, and every failure is ErrCorrupt. One
+// reused block is decoded valid → input → valid and must match a fresh
+// decode each time: a failed decode leaves it empty, and no decode
+// keeps the restarts of the block before.
 func FuzzDecodeBlock(f *testing.F) {
 	var b blockBuilder
 	for i := 0; i < 40; i++ {
 		b.add(kv.MakeKey([]byte(fmt.Sprintf("key-%03d", i)), kv.SeqNum(i+1), kv.KindSet), []byte("value"))
 	}
-	f.Add(append([]byte(nil), b.finish()...))
+	valid := append([]byte(nil), b.finish()...)
+	f.Add(valid)
 	f.Add(hugeUnsharedBlock())
 	f.Add(hugeValueBlock())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, raw := range [][]byte{data, record.Seal(append([]byte(nil), data...))} {
+		var reused block
+		for _, raw := range [][]byte{valid, data, record.Seal(append([]byte(nil), data...)), valid} {
 			blk, err := decodeBlock(raw)
+			rerr := decodeBlockInto(&reused, raw)
+			if (rerr == nil) != (err == nil) {
+				t.Fatalf("reused decode error %v, fresh %v", rerr, err)
+			}
 			if err != nil {
 				if !errors.Is(err, ErrCorrupt) {
 					t.Fatalf("decode error %v is not ErrCorrupt", err)
 				}
+				if reused.data != nil || len(reused.restarts) != 0 {
+					t.Fatalf("failed decode left %d restarts behind", len(reused.restarts))
+				}
 				continue
+			}
+			if !bytes.Equal(reused.data, blk.data) || !slices.Equal(reused.restarts, blk.restarts) {
+				t.Fatalf("reused decode %v differs from fresh %v", reused.restarts, blk.restarts)
 			}
 			it := newBlockIterator(blk)
 			for ok := it.First(); ok; ok = it.Next() {

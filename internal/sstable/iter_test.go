@@ -79,7 +79,10 @@ func walk(it kv.Iterator, seek []byte, steps int) []string {
 
 // TestTableIterReuse points one TableIter in turn at random tables —
 // one of them with a corrupt data block — and checks every use yields
-// byte for byte what a fresh iterator yields, error included.
+// byte for byte what a fresh iterator yields, error included. The
+// readers have no cache, so every block is refused and read into the
+// cursor's one block buffer: a stale restart array, error or byte from
+// the last block or table would show.
 func TestTableIterReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	fs := vfs.NewMem()
@@ -129,6 +132,9 @@ func TestTableIterReuse(t *testing.T) {
 				t.Fatalf("use %d: Close kept a reader or block", use)
 			}
 		}
+	}
+	if cap(cur.buf.raw) == 0 {
+		t.Fatal("no block was read into the cursor's buffer")
 	}
 }
 

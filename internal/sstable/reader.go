@@ -1,6 +1,7 @@
 package sstable
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -12,10 +13,13 @@ import (
 
 // BlockCache caches decoded data blocks across tables, keyed by (file
 // number, block offset). The engine's block cache implements it; a nil
-// cache is always a miss.
+// cache is always a miss that refuses the block.
 type BlockCache interface {
-	// Get returns the cached value, if present.
-	Get(fileNum, offset uint64) (any, bool)
+	// Lookup returns the cached value, if present. On a miss, admit
+	// says whether the block of charge bytes the caller is about to
+	// read may be added; a refused block is read into a buffer the
+	// caller owns and never added. A zero charge always admits.
+	Lookup(fileNum, offset uint64, charge int) (v any, hit, admit bool)
 	// Add inserts a value with the given charge in bytes.
 	Add(fileNum, offset uint64, value any, charge int)
 }
@@ -86,7 +90,7 @@ func Open(f vfs.File, opts ReaderOptions) (*Reader, error) {
 
 	r := &Reader{f: f, opts: opts, fileSize: size}
 
-	raw, err := r.readRaw(indexH)
+	raw, err := r.readRaw(indexH, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -122,11 +126,16 @@ func Open(f vfs.File, opts ReaderOptions) (*Reader, error) {
 	return r, nil
 }
 
-func (r *Reader) readRaw(h blockHandle) ([]byte, error) {
+// readRaw reads the block at h into buf, reallocating it only if it is
+// too small.
+func (r *Reader) readRaw(h blockHandle, buf []byte) ([]byte, error) {
 	if h.offset > uint64(r.fileSize) || h.length > uint64(r.fileSize)-h.offset {
 		return nil, fmt.Errorf("%w: block handle %d+%d past the end of the file", ErrCorrupt, h.offset, h.length)
 	}
-	buf := make([]byte, h.length)
+	if uint64(cap(buf)) < h.length {
+		buf = make([]byte, h.length)
+	}
+	buf = buf[:h.length]
 	if _, err := r.f.ReadAt(buf, int64(h.offset)); err != nil {
 		return nil, err
 	}
@@ -134,7 +143,7 @@ func (r *Reader) readRaw(h blockHandle) ([]byte, error) {
 }
 
 func (r *Reader) readRawUnwrapped(h blockHandle) ([]byte, error) {
-	raw, err := r.readRaw(h)
+	raw, err := r.readRaw(h, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -145,44 +154,59 @@ func (r *Reader) readRawUnwrapped(h blockHandle) ([]byte, error) {
 	return payload, nil
 }
 
-// readDataBlock fetches a data block through the cache, reporting to
-// the reader's configured stats sink.
-func (r *Reader) readDataBlock(h blockHandle) (*block, error) {
-	return r.readDataBlockWith(h, r.opts.Stats)
+// blockBuf is a reader-owned home for the data blocks the cache
+// refuses: one raw buffer and its decoded view, reused by every refused
+// read through the cursor that owns it.
+type blockBuf struct {
+	raw []byte
+	blk block
 }
 
-// readDataBlockWith is readDataBlock with an explicit stats sink, so a
-// traced lookup can attribute the fetch to its own span.
-func (r *Reader) readDataBlockWith(h blockHandle, st ReadStats) (*block, error) {
-	if r.opts.Cache != nil {
-		if v, ok := r.opts.Cache.Get(r.opts.FileNum, h.offset); ok {
-			if st != nil {
-				st.BlockRead(true)
-				if bs, ok := st.(BlockBytesSink); ok {
-					bs.BlockReadBytes(int(h.length), true)
-				}
-			}
+// readDataBlock fetches a data block through the cache, reporting to st.
+// A block the cache refuses (or every block, without a cache) is read
+// into own and is valid until the next read through own. A nil own is
+// a deliberate fill: the block is added whether or not the cache would
+// admit it.
+func (r *Reader) readDataBlock(h blockHandle, st ReadStats, own *blockBuf) (*block, error) {
+	admit := false
+	if c := r.opts.Cache; c != nil {
+		charge := int(h.length)
+		if own == nil {
+			charge = 0 // ask only whether the block is resident
+		}
+		v, hit, ok := c.Lookup(r.opts.FileNum, h.offset, charge)
+		if hit {
+			reportBlockRead(st, h, true)
 			return v.(*block), nil
 		}
+		admit = ok
 	}
-	raw, err := r.readRaw(h)
+	if admit || own == nil {
+		own = new(blockBuf) // a block the cache keeps gets memory of its own
+	}
+	raw, err := r.readRaw(h, own.raw)
 	if err != nil {
 		return nil, err
 	}
-	b, err := decodeBlock(raw)
-	if err != nil {
+	own.raw = raw
+	if err := decodeBlockInto(&own.blk, raw); err != nil {
 		return nil, err
 	}
+	reportBlockRead(st, h, false)
+	if admit {
+		r.opts.Cache.Add(r.opts.FileNum, h.offset, &own.blk, len(raw))
+	}
+	return &own.blk, nil
+}
+
+// reportBlockRead reports one data-block fetch to st, if any.
+func reportBlockRead(st ReadStats, h blockHandle, cached bool) {
 	if st != nil {
-		st.BlockRead(false)
+		st.BlockRead(cached)
 		if bs, ok := st.(BlockBytesSink); ok {
-			bs.BlockReadBytes(int(h.length), false)
+			bs.BlockReadBytes(int(h.length), cached)
 		}
 	}
-	if r.opts.Cache != nil {
-		r.opts.Cache.Add(r.opts.FileNum, h.offset, b, len(raw))
-	}
-	return b, nil
 }
 
 // Props returns the table's properties.
@@ -250,21 +274,25 @@ func (r *Reader) GetWith(ukey []byte, hash uint64, snap kv.SeqNum, st ReadStats)
 
 // GetScratch holds the reusable per-lookup state of GetScratched: the
 // index and data cursors, whose key buffers amortize to zero
-// allocations across lookups. A scratch must not be used concurrently;
-// the engine pools one per in-flight read.
+// allocations across lookups, and the buffer a refused block is read
+// into. A scratch must not be used concurrently; the engine pools one
+// per in-flight read.
 type GetScratch struct {
 	idx  blockIterator
 	data blockIterator
+	buf  blockBuf
 }
 
 // GetScratched is the allocation-free point lookup: search must be
 // kv.MakeSearchKey(ukey, snap) (built once by the caller and shared
 // across every run probed), and sc carries the cursors across calls.
 //
-// The returned entry ALIASES sc's key buffer and the cached data
-// block: the key is valid only until the next lookup through sc, the
-// value for as long as the caller retains it (blocks are immutable and
-// the slice keeps the block alive).
+// The returned key ALIASES sc's key buffer and is valid only until the
+// next lookup through sc. The value is read-only and valid for as long
+// as the caller retains it: it aliases the cached data block (blocks
+// are immutable and the slice keeps the block alive), or, when the
+// block was read into sc because the cache refused it, it is a private
+// copy.
 func (r *Reader) GetScratched(ukey, search []byte, hash uint64, st ReadStats, sc *GetScratch) (kv.Entry, bool, error) {
 	if st == nil {
 		st = r.opts.Stats
@@ -281,7 +309,7 @@ func (r *Reader) GetScratched(ukey, search []byte, hash uint64, st ReadStats, sc
 	if err != nil {
 		return kv.Entry{}, false, err
 	}
-	b, err := r.readDataBlockWith(h, st)
+	b, err := r.readDataBlock(h, st, &sc.buf)
 	if err != nil {
 		return kv.Entry{}, false, err
 	}
@@ -293,7 +321,11 @@ func (r *Reader) GetScratched(ukey, search []byte, hash uint64, st ReadStats, sc
 	if kv.CompareUser(kv.UserKey(it.Key()), ukey) != 0 {
 		return kv.Entry{}, false, it.Close()
 	}
-	return kv.Entry{Key: it.Key(), Value: it.Value()}, true, it.Close()
+	v := it.Value()
+	if b == &sc.buf.blk {
+		v = bytes.Clone(v) // sc's block is overwritten by the next miss
+	}
+	return kv.Entry{Key: it.Key(), Value: v}, true, it.Close()
 }
 
 // NewIterator returns an iterator over the table's point entries.
@@ -332,9 +364,9 @@ func (r *Reader) BlockSpans(fn func(offset uint64, lastKey []byte)) {
 }
 
 // WarmRange reads every data block whose keys may intersect the user-
-// key range [start, end] through the block cache, stopping once budget
-// bytes have been loaded (budget <= 0 means unlimited). It returns the
-// bytes loaded.
+// key range [start, end] into the block cache, bypassing admission,
+// stopping once budget bytes have been loaded (budget <= 0 means
+// unlimited). It returns the bytes loaded.
 func (r *Reader) WarmRange(start, end []byte, budget int64) int64 {
 	idx := newBlockIterator(r.index)
 	var loaded int64
@@ -344,7 +376,7 @@ func (r *Reader) WarmRange(start, end []byte, budget int64) int64 {
 			// This block still overlaps (it may start before end); load
 			// it, then stop.
 			if h, err := decodeHandle(idx.Value()); err == nil {
-				if _, err := r.readDataBlock(h); err == nil {
+				if _, err := r.readDataBlock(h, r.opts.Stats, nil); err == nil {
 					loaded += int64(h.length)
 				}
 			}
@@ -354,7 +386,7 @@ func (r *Reader) WarmRange(start, end []byte, budget int64) int64 {
 		if err != nil {
 			break
 		}
-		if _, err := r.readDataBlock(h); err != nil {
+		if _, err := r.readDataBlock(h, r.opts.Stats, nil); err != nil {
 			break
 		}
 		loaded += int64(h.length)
@@ -378,16 +410,13 @@ func (r *Reader) VerifyChecksums() (int64, error) {
 	}
 	idx := newBlockIterator(fresh.index)
 	var verified int64
+	var own blockBuf
 	for ok := idx.First(); ok; ok = idx.Next() {
 		h, err := decodeHandle(idx.Value())
 		if err != nil {
 			return verified, err
 		}
-		raw, err := fresh.readRaw(h)
-		if err != nil {
-			return verified, fmt.Errorf("block at %d: %w", h.offset, err)
-		}
-		if _, err := decodeBlock(raw); err != nil {
+		if _, err := fresh.readDataBlock(h, nil, &own); err != nil {
 			return verified, fmt.Errorf("block at %d: %w", h.offset, err)
 		}
 		verified += int64(h.length)
@@ -400,12 +429,15 @@ func (r *Reader) Close() error { return r.f.Close() }
 
 // TableIter is the two-level table cursor: an index cursor selects
 // data blocks, a block cursor walks entries. Reader.InitIterator points
-// one at a table; Close drops its reader and block references.
+// one at a table; Close drops its reader and block references. Blocks
+// the cache refuses are read into the cursor's own buffer, so a key or
+// value is valid only until the next positioning call.
 type TableIter struct {
 	r      *Reader
 	st     ReadStats
 	index  blockIterator
 	data   blockIterator
+	buf    blockBuf
 	loaded bool // data holds the block the index cursor points at
 	err    error
 }
@@ -417,7 +449,7 @@ func (it *TableIter) loadCurrentBlock() bool {
 		it.err = err
 		return false
 	}
-	b, err := it.r.readDataBlockWith(h, it.st)
+	b, err := it.r.readDataBlock(h, it.st, &it.buf)
 	if err != nil {
 		it.err = err
 		return false

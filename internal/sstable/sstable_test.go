@@ -342,14 +342,16 @@ func (s *recordingStats) BlockRead(cached bool) {
 	}
 }
 
-// fakeCache is a trivial map-backed BlockCache.
+// fakeCache is a trivial map-backed BlockCache; refuse makes it admit
+// nothing, as a full cache does on a block's first miss.
 type fakeCache struct {
-	m map[[2]uint64]any
+	m      map[[2]uint64]any
+	refuse bool
 }
 
-func (c *fakeCache) Get(fn, off uint64) (any, bool) {
+func (c *fakeCache) Lookup(fn, off uint64, charge int) (any, bool, bool) {
 	v, ok := c.m[[2]uint64{fn, off}]
-	return v, ok
+	return v, ok, !c.refuse
 }
 
 func (c *fakeCache) Add(fn, off uint64, v any, charge int) {
@@ -377,6 +379,37 @@ func TestBlockCacheUsed(t *testing.T) {
 	}
 	if stats.cachedReads != 1 {
 		t.Fatalf("second read should hit cache: %+v", *stats)
+	}
+}
+
+// TestRefusedBlockValueIsPrivate: a value found in a block the cache
+// refused comes back as a copy, so lookups through the same scratch
+// that read other refused blocks into it cannot change it, and nothing
+// is inserted.
+func TestRefusedBlockValueIsPrivate(t *testing.T) {
+	cache := &fakeCache{m: make(map[[2]uint64]any), refuse: true}
+	r := buildTable(t, vfs.NewMem(), 2000, WriterOptions{BlockSize: 256}, ReaderOptions{Cache: cache})
+	defer r.Close()
+	var sc GetScratch
+	get := func(i int) []byte {
+		uk := []byte(fmt.Sprintf("key-%06d", i))
+		e, ok, err := r.GetScratched(uk, kv.MakeSearchKey(uk, kv.MaxSeqNum), bloom.Hash64(uk), nil, &sc)
+		if !ok || err != nil {
+			t.Fatalf("get %s: %v %v", uk, ok, err)
+		}
+		return e.Value
+	}
+	first := get(7)
+	for i := 1000; i < 2000; i += 37 {
+		if v, want := get(i), fmt.Sprintf("value-%06d", i); string(v) != want {
+			t.Fatalf("get %d = %q, want %q", i, v, want)
+		}
+	}
+	if string(first) != "value-000007" {
+		t.Fatalf("value from a refused block changed under later lookups: %q", first)
+	}
+	if len(cache.m) != 0 || cap(sc.buf.raw) == 0 {
+		t.Fatalf("refused blocks: %d cached, scratch buffer cap %d", len(cache.m), cap(sc.buf.raw))
 	}
 }
 
