@@ -4,10 +4,8 @@ import (
 	"sort"
 
 	"lsmlab/internal/compaction"
-	"lsmlab/internal/events"
 	"lsmlab/internal/kv"
 	"lsmlab/internal/manifest"
-	"lsmlab/internal/trace"
 	"lsmlab/internal/wisckey"
 )
 
@@ -331,39 +329,7 @@ func survivingRangeDels(rangeDels []kv.RangeTombstone, bottom bool, snapshots []
 	return rangeDels
 }
 
-// runCompaction executes one job end to end, bracketed by
-// CompactionBegin/CompactionEnd events carrying the job's shape
-// (levels, input/output files and bytes, trigger reason) and timed into
-// the compaction latency histogram. Every outcome emits exactly one
-// matching end event.
-func (db *DB) runCompaction(job *compaction.Job) error {
-	var inFiles int
-	for _, files := range job.Inputs {
-		inFiles += len(files)
-	}
-	jobID := db.nextJobID()
-	start := db.opts.NowNs()
-	sp := db.tracer.StartRetained(trace.OpCompaction)
-	db.emit(events.Event{Type: events.CompactionBegin, JobID: jobID,
-		Level: job.FromLevel, ToLevel: job.ToLevel,
-		InputFiles: inFiles, InputBytes: int64(job.InputBytes()),
-		Reason: string(job.Reason)})
-	metas, err := db.doCompaction(job)
-	dur := db.opts.NowNs() - start
-	db.m.CompactionNs.RecordNs(dur)
-	sp.AddBytes(int64(totalBytes(metas)))
-	sp.AddEntries(len(metas))
-	sp.SetErr(err)
-	db.tracer.Finish(sp)
-	db.emit(events.Event{Type: events.CompactionEnd, JobID: jobID,
-		Level: job.FromLevel, ToLevel: job.ToLevel,
-		InputFiles: inFiles, InputBytes: int64(job.InputBytes()),
-		OutputFiles: len(metas), OutputBytes: int64(totalBytes(metas)),
-		DurationNs: dur, Reason: string(job.Reason), Err: err})
-	return err
-}
-
-// doCompaction is the body of runCompaction: merge inputs, write
+// doCompaction is the body of a compaction job (runJob): merge inputs, write
 // outputs (throttled) and install the new version (tutorial §2.1.2
 // Compaction). The inputs are read through a pinned state; unpinning it
 // after the install is what lets them die — here, or when the last

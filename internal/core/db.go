@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"lsmlab/internal/admission"
 	"lsmlab/internal/bloom"
 	"lsmlab/internal/cache"
 	"lsmlab/internal/compaction"
@@ -18,7 +19,6 @@ import (
 	"lsmlab/internal/manifest"
 	"lsmlab/internal/memtable"
 	"lsmlab/internal/metrics"
-	"lsmlab/internal/sstable"
 	"lsmlab/internal/trace"
 	"lsmlab/internal/vfs"
 	"lsmlab/internal/wal"
@@ -127,11 +127,8 @@ type DB struct {
 	m metrics.Metrics
 
 	// prof is the live workload profiler (profile.go); nil when
-	// Options.DisableProfiler is set. stSink is the engine's statsSink
-	// pre-boxed as an interface so the get path can hand it to the
-	// profiler's per-level shim without allocating.
-	prof   *profiler
-	stSink sstable.ReadStats
+	// Options.DisableProfiler is set.
+	prof *profiler
 
 	// iterStacks pools the bodies of closed iterators (iterator.go), so
 	// a scan reuses its cursors, merge heap and buffers.
@@ -170,49 +167,26 @@ func (db *DB) emit(e events.Event) {
 // nextJobID allocates an ID shared by one job's begin and end events.
 func (db *DB) nextJobID() uint64 { return db.jobIDs.Add(1) }
 
-// statsSink adapts metrics to the sstable.ReadStats and cache.Stats
-// interfaces.
-type statsSink struct{ m *metrics.Metrics }
-
-func (s statsSink) FilterProbe(negative bool) {
-	s.m.FilterProbes.Add(1)
-	if negative {
-		s.m.FilterNegatives.Add(1)
+// startSpan starts the span of one get, scan or apply, tagged with the
+// tenant of key. A non-zero traceID was propagated over the wire, and
+// the tracer keeps such a span whatever its sampling says. It returns
+// nil without a tracer or when head sampling declined the operation;
+// callers defer db.tracer.Finish, which ignores a nil span.
+func (db *DB) startSpan(op string, traceID uint64, key []byte) *trace.Span {
+	sp := db.tracer.StartID(op, traceID)
+	if sp != nil {
+		sp.SetTenant(admission.TenantOf(key))
 	}
+	return sp
 }
 
-func (s statsSink) BlockRead(cached bool) {
-	s.m.BlockReads.Add(1)
-	if cached {
-		s.m.BlockReadsCached.Add(1)
+// spanNow reads the engine clock for a stage boundary of a traced
+// operation; an untraced one (sp nil) reads no clock and gets 0.
+func (db *DB) spanNow(sp *trace.Span) int64 {
+	if sp == nil {
+		return 0
 	}
-}
-
-func (s statsSink) CacheAccess(hit bool) {
-	if hit {
-		s.m.CacheHits.Add(1)
-	} else {
-		s.m.CacheMisses.Add(1)
-	}
-}
-
-// tracedSink fans read-path events out to both the engine metrics and
-// one operation's span, replacing the readers' baked-in statsSink for
-// the duration of a traced lookup. It exists per traced operation only,
-// so untraced reads allocate nothing.
-type tracedSink struct {
-	m  *metrics.Metrics
-	sp *trace.Span
-}
-
-func (s *tracedSink) FilterProbe(negative bool) {
-	statsSink{s.m}.FilterProbe(negative)
-	s.sp.FilterProbe(negative)
-}
-
-func (s *tracedSink) BlockRead(cached bool) {
-	statsSink{s.m}.BlockRead(cached)
-	s.sp.BlockRead(cached)
+	return db.opts.NowNs()
 }
 
 // Tracer returns the tracer this DB was opened with (nil when tracing
@@ -242,13 +216,12 @@ func Open(opts Options) (*DB, error) {
 		timeOps:   opts.EventListener != nil || opts.RecordLatencies,
 	}
 	db.cond = sync.NewCond(&db.mu)
-	db.stSink = statsSink{&db.m}
 	if !opts.DisableProfiler {
 		db.prof = newProfiler(&db.m, opts.NumLevels, opts.ProfileWindowOps)
 	}
 	if opts.CacheBytes > 0 {
 		db.bcache = cache.New(opts.CacheBytes)
-		db.bcache.SetStats(statsSink{&db.m})
+		db.bcache.SetStats(&db.m)
 	}
 	db.picker.Store(compaction.NewPicker(compaction.Options{
 		NumLevels:               opts.NumLevels,
@@ -319,7 +292,7 @@ func Open(opts Options) (*DB, error) {
 		db.bg.Add(1)
 		go db.worker(flushOnly)
 	}
-	db.maybeScheduleWork()
+	db.cond.Broadcast()
 	return db, nil
 }
 
@@ -388,7 +361,7 @@ func (db *DB) recoverWALs() error {
 			return err
 		}
 		if mw.mt.Len() > 0 || len(mw.rangeTombstones()) > 0 {
-			if err := db.flushMemtable(mw); err != nil {
+			if err := db.runJob(mw, nil); err != nil {
 				return err
 			}
 		}
@@ -497,13 +470,6 @@ func (db *DB) filterBitsForRun(v *manifest.Version, level int) float64 {
 	return bits[runIdxForLevel[level]]
 }
 
-// maybeScheduleWork wakes the background workers; they park on the
-// shared condition variable, so a broadcast can never be lost the way a
-// bounded token channel could.
-func (db *DB) maybeScheduleWork() {
-	db.cond.Broadcast()
-}
-
 // worker executes flushes (priority) and compactions until close.
 // flushOnly workers never start compactions, so a flush slot is always
 // available when Workers > 1 (a dedicated flush pool).
@@ -536,7 +502,7 @@ func (db *DB) worker(flushOnly bool) {
 			if backoff > 0 {
 				time.Sleep(backoff)
 			}
-			err := db.flushMemtable(flushTarget)
+			err := db.runJob(flushTarget, nil)
 			db.mu.Lock()
 			delete(db.building, flushTarget)
 			if err != nil {
@@ -559,7 +525,7 @@ func (db *DB) worker(flushOnly bool) {
 				if backoff > 0 {
 					time.Sleep(backoff)
 				}
-				err := db.runCompaction(job)
+				err := db.runJob(nil, job)
 				db.mu.Lock()
 				for lvl := range job.Inputs {
 					delete(db.busyLevel, lvl)
@@ -619,7 +585,7 @@ func (db *DB) waitIdle() {
 			db.mu.Unlock()
 			return
 		}
-		db.maybeScheduleWork()
+		db.cond.Broadcast()
 		db.cond.Wait()
 	}
 }
@@ -683,13 +649,16 @@ func (db *DB) Compact() error {
 		return err
 	}
 	db.mu.Lock()
+	// Pick only once background work has drained: the wait releases
+	// db.mu, and a job picked before it could name inputs that a
+	// background compaction has since replaced.
+	for len(db.building) > 0 || len(db.busyLevel) > 0 {
+		db.cond.Wait()
+	}
 	job := db.picker.Load().ManualJob(db.version)
 	if job == nil {
 		db.mu.Unlock()
 		return nil
-	}
-	for len(db.building) > 0 || len(db.busyLevel) > 0 {
-		db.cond.Wait()
 	}
 	for lvl := range job.Inputs {
 		db.busyLevel[lvl] = true
@@ -697,7 +666,7 @@ func (db *DB) Compact() error {
 	db.busyLevel[job.ToLevel] = true
 	db.mu.Unlock()
 
-	err := db.runCompaction(job)
+	err := db.runJob(nil, job)
 
 	db.mu.Lock()
 	for lvl := range job.Inputs {

@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"lsmlab/internal/compaction"
 	"lsmlab/internal/memtable"
@@ -228,6 +231,44 @@ func TestManualCompactToBottom(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCompactRacingWrites runs manual compactions against a writer
+// that keeps flushing and triggering background compactions. Compact
+// must pick its job from the version it runs against: a job picked
+// before waiting out background work can name inputs a background
+// compaction has since replaced ("table N is not in the pinned
+// version").
+func TestCompactRacingWrites(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	db, _ := testDB(t, func(o *Options) { o.BufferBytes = 2 << 10; o.Workers = 2 })
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		val := make([]byte, 64)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := db.Put([]byte(fmt.Sprintf("k%04d", i%1000)), val); err != nil {
+				t.Errorf("put: %v", err)
+				return
+			}
+		}
+	}()
+	defer wg.Wait()
+	defer close(stop)
+	calls, deadline := 0, time.Now().Add(3*time.Second)
+	for ; calls < 3000 && time.Now().Before(deadline); calls++ {
+		if err := db.Compact(); err != nil {
+			t.Fatalf("compact call %d: %v", calls, err)
+		}
+	}
+	t.Logf("%d compactions", calls)
 }
 
 func TestRecoveryFromWAL(t *testing.T) {

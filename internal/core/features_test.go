@@ -313,7 +313,7 @@ func TestTombstoneAgeDrivesCompaction(t *testing.T) {
 	// Advance the clock past the persistence threshold and nudge.
 	clock += int64(60 * time.Second)
 	db.mu.Lock()
-	db.maybeScheduleWork()
+	db.cond.Broadcast()
 	db.mu.Unlock()
 	db.WaitIdle()
 	m := db.Metrics()

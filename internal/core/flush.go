@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"lsmlab/internal/compaction"
 	"lsmlab/internal/events"
 	"lsmlab/internal/kv"
 	"lsmlab/internal/manifest"
@@ -226,30 +227,49 @@ func totalBytes(metas []*manifest.FileMeta) uint64 {
 	return s
 }
 
-// flushMemtable writes one immutable buffer to a new level-0 run
-// (tutorial §2.1.2 Flush), bracketed by FlushBegin/FlushEnd events and
-// timed into the flush latency histogram. Every outcome — success,
-// empty buffer, or error — emits exactly one matching end event.
-func (db *DB) flushMemtable(mw *memWrapper) error {
-	jobID := db.nextJobID()
+// runJob runs one background job end to end: a flush of mw to a new
+// level-0 run (tutorial §2.1.2 Flush), or, with mw nil, the compaction
+// job c. One bracket serves both: a begin event carrying the job's
+// shape, a retained span, the job's latency histogram, and an end event
+// that repeats the begin event plus the outcome. Every outcome —
+// success, empty input, or error — emits exactly one matching end
+// event.
+func (db *DB) runJob(mw *memWrapper, c *compaction.Job) error {
+	begin := events.Event{Type: events.FlushBegin, JobID: db.nextJobID()}
+	op, hist := trace.OpFlush, &db.m.FlushNs
+	if c != nil {
+		for _, files := range c.Inputs {
+			begin.InputFiles += len(files)
+		}
+		begin.Type, begin.Level, begin.ToLevel = events.CompactionBegin, c.FromLevel, c.ToLevel
+		begin.InputBytes, begin.Reason = int64(c.InputBytes()), string(c.Reason)
+		op, hist = trace.OpCompaction, &db.m.CompactionNs
+	} else {
+		begin.InputBytes = int64(mw.mt.ApproximateBytes())
+	}
 	start := db.opts.NowNs()
-	sp := db.tracer.StartRetained(trace.OpFlush)
-	db.emit(events.Event{Type: events.FlushBegin, JobID: jobID,
-		InputBytes: int64(mw.mt.ApproximateBytes())})
-	metas, err := db.doFlush(mw)
-	dur := db.opts.NowNs() - start
-	db.m.FlushNs.RecordNs(dur)
-	sp.AddBytes(int64(totalBytes(metas)))
+	sp := db.tracer.StartRetained(op)
+	db.emit(begin)
+	var metas []*manifest.FileMeta
+	var err error
+	if c != nil {
+		metas, err = db.doCompaction(c)
+	} else {
+		metas, err = db.doFlush(mw)
+	}
+	end := begin
+	end.Type, end.DurationNs, end.Err = begin.Type.End(), db.opts.NowNs()-start, err
+	end.OutputFiles, end.OutputBytes = len(metas), int64(totalBytes(metas))
+	hist.RecordNs(end.DurationNs)
+	sp.AddBytes(end.OutputBytes)
 	sp.AddEntries(len(metas))
 	sp.SetErr(err)
 	db.tracer.Finish(sp)
-	db.emit(events.Event{Type: events.FlushEnd, JobID: jobID,
-		OutputFiles: len(metas), OutputBytes: int64(totalBytes(metas)),
-		DurationNs: dur, Err: err})
+	db.emit(end)
 	return err
 }
 
-// doFlush is the body of flushMemtable; it returns the installed file
+// doFlush is the body of a flush job; it returns the installed file
 // metadata for event reporting. Nothing is garbage-collected at flush
 // time: every version, tombstone, and range tombstone survives to disk.
 func (db *DB) doFlush(mw *memWrapper) ([]*manifest.FileMeta, error) {

@@ -47,11 +47,11 @@ type iterStack struct {
 	merge   kv.MergingIterator
 	rangeTs []kv.RangeTombstone
 
-	// sinks are the profiler's per-level ReadStats shims for this
-	// iterator's table sources (one per level, so scan block fetches
-	// attribute to the level they came from). Empty when the profiler
-	// is off.
-	sinks []profSink
+	// sinks report this iterator's table reads, one per level, so the
+	// profiler attributes each block fetch to the level it came from.
+	// Empty when the profiler is off: the tables then report to the
+	// metrics alone.
+	sinks []readSink
 
 	key   []byte
 	value []byte
@@ -78,7 +78,7 @@ func (db *DB) NewIterator(opts IterOptions) (*Iterator, error) {
 		for i := range rs.version.Levels {
 			// Weight 1: scans attribute every block exactly (the setup
 			// cost amortizes over the entries scanned).
-			s.sinks = append(s.sinks, profSink{base: db.stSink, lv: db.prof.levels, level: i, w: 1})
+			s.sinks = append(s.sinks, readSink{m: &db.m, lv: db.prof.levels, level: i, w: 1})
 		}
 	}
 	n := 0

@@ -9,7 +9,6 @@ import (
 	"lsmlab/internal/admission"
 	"lsmlab/internal/metrics"
 	"lsmlab/internal/sketch"
-	"lsmlab/internal/sstable"
 )
 
 // This file is the engine's self-dissection layer (tutorial Module III,
@@ -122,38 +121,6 @@ func (s levelIOSnap) sub(o levelIOSnap) levelIOSnap {
 		d.writeBytes[i] = s.writeBytes[i] - o.writeBytes[i]
 	}
 	return d
-}
-
-// profSink is the per-lookup ReadStats shim that tags block fetches
-// with the level being probed. It lives inside the pooled readScratch
-// (and per-iterator for scans), so injecting it allocates nothing.
-// w is the sampling weight of its counts: profSample on the sampled
-// get path (which skips 15 of 16 lookups), 1 on scan iterators (which
-// attribute every block exactly).
-type profSink struct {
-	base  sstable.ReadStats // the engine statsSink or a tracedSink
-	lv    []levelIO
-	level int
-	w     int64
-}
-
-func (s *profSink) FilterProbe(negative bool) { s.base.FilterProbe(negative) }
-
-func (s *profSink) BlockRead(cached bool) {
-	s.base.BlockRead(cached)
-	l := &s.lv[s.level]
-	l.blockReads.Add(s.w)
-	if cached {
-		l.blockReadsCached.Add(s.w)
-	}
-}
-
-// BlockReadBytes implements sstable.BlockBytesSink: only uncached
-// fetches touched the disk, so only they count toward read bytes.
-func (s *profSink) BlockReadBytes(n int, cached bool) {
-	if !cached {
-		s.lv[s.level].readBytes.Add(int64(n) * s.w)
-	}
 }
 
 // tenantCounts is one tenant's sampled operation counts (decayed by

@@ -4,25 +4,60 @@ import (
 	"bytes"
 	"sync"
 
-	"lsmlab/internal/admission"
 	"lsmlab/internal/bloom"
 	"lsmlab/internal/kv"
+	"lsmlab/internal/metrics"
 	"lsmlab/internal/sstable"
 	"lsmlab/internal/trace"
 	"lsmlab/internal/wisckey"
 )
 
 // readScratch carries the reusable buffers of one point lookup: the
-// search key shared by every probe, and the sstable cursors with the
-// buffer a block the cache refuses is read into. Pooled so the
+// search key shared by every probe, the sstable cursors with the
+// buffer a block the cache refuses is read into, and the sink of a
+// traced or sampled lookup. Pooled so the
 // steady-state get path does zero heap allocations (proved by
 // BenchmarkGetHot).
 type readScratch struct {
 	search []byte
 	sst    sstable.GetScratch
-	// sink is the profiler's level-tagging ReadStats shim; living in
-	// the pooled scratch keeps its injection allocation-free.
-	sink profSink
+	sink   readSink
+}
+
+// readSink is the ReadStats of one traced or profiler-sampled read:
+// each filter probe and block fetch counts once in the metrics, once in
+// the span sp (when traced), and w times in the levelIO of the level
+// being read (when lv is set: profSample on a sampled get, 1 on a scan,
+// which attributes every block). It lives in the pooled readScratch for
+// gets and the pooled iterStack for scans, so handing one to a table
+// allocates nothing. A read that is neither traced nor sampled hands
+// the tables no sink, and they report to the metrics alone.
+type readSink struct {
+	m     *metrics.Metrics
+	sp    *trace.Span
+	lv    []levelIO
+	level int
+	w     int64
+}
+
+func (s *readSink) FilterProbe(negative bool) {
+	s.m.FilterProbe(negative)
+	s.sp.FilterProbe(negative)
+}
+
+func (s *readSink) BlockRead(cached bool, bytes int) {
+	s.m.BlockRead(cached, bytes)
+	s.sp.BlockRead(cached)
+	if s.lv == nil {
+		return
+	}
+	l := &s.lv[s.level]
+	l.blockReads.Add(s.w)
+	if cached {
+		l.blockReadsCached.Add(s.w)
+	} else {
+		l.readBytes.Add(int64(bytes) * s.w) // only uncached fetches touched the disk
+	}
 }
 
 var readScratchPool = sync.Pool{New: func() any { return new(readScratch) }}
@@ -82,23 +117,9 @@ func (db *DB) getInner(key []byte, snap kv.SeqNum, traceID uint64) ([]byte, erro
 	if profiled {
 		db.prof.observe(profGet, hash, key)
 	}
-	var sp *trace.Span
-	var st sstable.ReadStats
-	if db.tracer != nil {
-		sp = db.tracer.StartID(trace.OpGet, traceID)
-		if sp != nil { // head sampling may have declined this op
-			if traceID != 0 {
-				sp.Retain() // explicitly requested over the wire
-			}
-			sp.SetTenant(admission.TenantOf(key))
-			st = &tracedSink{m: &db.m, sp: sp}
-			defer db.tracer.Finish(sp)
-		}
-	}
-	var t0 int64
-	if sp != nil {
-		t0 = db.opts.NowNs()
-	}
+	sp := db.startSpan(trace.OpGet, traceID, key)
+	defer db.tracer.Finish(sp)
+	t0 := db.spanNow(sp)
 	rs, err := db.pin()
 	if err != nil {
 		sp.SetErr(err)
@@ -107,10 +128,8 @@ func (db *DB) getInner(key []byte, snap kv.SeqNum, traceID uint64) ([]byte, erro
 	defer rs.unpin()
 	seq := db.readSeq(snap)
 	sc := readScratchPool.Get().(*readScratch)
-	e, err := db.search(rs, seq, key, hash, profiled, sp, st, sc)
-	if sp != nil {
-		sp.StageSince("search", t0, db.opts.NowNs())
-	}
+	e, err := db.search(rs, seq, key, hash, profiled, sp, sc)
+	sp.StageSince("search", t0, db.spanNow(sp))
 	if err != nil {
 		readScratchPool.Put(sc)
 		if err != ErrNotFound {
@@ -124,52 +143,34 @@ func (db *DB) getInner(key []byte, snap kv.SeqNum, traceID uint64) ([]byte, erro
 	// read into the scratch, and stays valid either way.
 	kind := e.Kind()
 	readScratchPool.Put(sc)
+	var v []byte
 	switch kind {
 	case kv.KindSet:
-		db.m.GetHits.Add(1)
-		sp.AddBytes(int64(len(e.Value)))
-		return e.Value, nil
+		v = e.Value
 	case kv.KindMerge:
 		// Slow path: walk the key's full visible history to fold the
 		// operands onto their base (§2.2.6).
-		if sp != nil {
-			t0 = db.opts.NowNs()
-		}
-		v, err := db.resolveMergeSlow(rs, key, seq)
-		if sp != nil {
-			sp.StageSince("merge", t0, db.opts.NowNs())
-		}
-		if err != nil {
-			sp.SetErr(err)
-			return nil, err
-		}
-		db.m.GetHits.Add(1)
-		sp.AddBytes(int64(len(v)))
-		return v, nil
+		t0 = db.spanNow(sp)
+		v, err = db.resolveMergeSlow(rs, key, seq)
+		sp.StageSince("merge", t0, db.spanNow(sp))
 	case kv.KindValuePointer:
-		p, err := wisckey.DecodePointer(e.Value)
-		if err != nil {
-			sp.SetErr(err)
-			return nil, err
-		}
-		if sp != nil {
-			t0 = db.opts.NowNs()
-		}
-		v, err := db.vlog.Read(p)
-		if sp != nil {
+		var p wisckey.Pointer
+		if p, err = wisckey.DecodePointer(e.Value); err == nil {
+			t0 = db.spanNow(sp)
+			v, err = db.vlog.Read(p)
 			sp.AddVlogRead()
-			sp.StageSince("vlog", t0, db.opts.NowNs())
+			sp.StageSince("vlog", t0, db.spanNow(sp))
 		}
-		if err != nil {
-			sp.SetErr(err)
-			return nil, err
-		}
-		db.m.GetHits.Add(1)
-		sp.AddBytes(int64(len(v)))
-		return v, nil
 	default:
 		return nil, ErrNotFound
 	}
+	if err != nil {
+		sp.SetErr(err)
+		return nil, err
+	}
+	db.m.GetHits.Add(1)
+	sp.AddBytes(int64(len(v)))
+	return v, nil
 }
 
 // getEntry returns the newest visible raw entry (which may be a
@@ -181,7 +182,7 @@ func (db *DB) getEntry(key []byte, snap kv.SeqNum) (kv.Entry, error) {
 	}
 	defer rs.unpin()
 	sc := readScratchPool.Get().(*readScratch)
-	e, err := db.search(rs, db.readSeq(snap), key, bloom.Hash64(key), false, nil, nil, sc)
+	e, err := db.search(rs, db.readSeq(snap), key, bloom.Hash64(key), false, nil, sc)
 	if err == nil {
 		e = e.Clone() // detach from the scratch for non-hot-path callers
 	}
@@ -194,26 +195,22 @@ func (db *DB) getEntry(key []byte, snap kv.SeqNum) (kv.Entry, error) {
 // point entry found is the newest visible version; it is live only if
 // no newer range tombstone covers it (tutorial §2.1.2 Get); anything
 // else is ErrNotFound. It takes the key's precomputed hash, the
-// profiler's sampling decision, an optional span and per-operation read
-// stats sink (both nil on untraced lookups), and the caller's pooled
-// scratch. The returned entry's key aliases sc; the probe chain
-// allocates nothing.
-func (db *DB) search(rs *readState, seq kv.SeqNum, key []byte, hash uint64, profiled bool, sp *trace.Span, st sstable.ReadStats, sc *readScratch) (kv.Entry, error) {
+// profiler's sampling decision, an optional span (nil on untraced
+// lookups), and the caller's pooled scratch. The returned entry's key
+// aliases sc; the probe chain allocates nothing.
+func (db *DB) search(rs *readState, seq kv.SeqNum, key []byte, hash uint64, profiled bool, sp *trace.Span, sc *readScratch) (kv.Entry, error) {
 	var maxRT kv.SeqNum
 	// One search key serves every memtable and run probe.
 	sc.search = kv.AppendSearchKey(sc.search[:0], key, seq)
-	// On a sampled lookup, probes report through the scratch's
-	// level-tagging sink, which forwards to the usual metrics (or
-	// traced) sink and attributes each block fetch to its level with
-	// the sampling weight.
-	if profiled {
-		if st == nil {
-			sc.sink.base = db.stSink
-		} else {
-			sc.sink.base = st
+	// A traced or sampled lookup reports its probes through the
+	// scratch's sink; any other leaves the tables reporting to the
+	// metrics.
+	var st sstable.ReadStats
+	if sp != nil || profiled {
+		sc.sink = readSink{m: &db.m, sp: sp}
+		if profiled {
+			sc.sink.lv, sc.sink.w = db.prof.levels, profSample
 		}
-		sc.sink.lv = db.prof.levels
-		sc.sink.w = profSample
 		st = &sc.sink
 	}
 
@@ -235,9 +232,7 @@ func (db *DB) search(rs *readState, seq kv.SeqNum, key []byte, hash uint64, prof
 
 	// Disk levels: L0 runs newest first, then deeper levels.
 	for lvl, level := range rs.version.Levels {
-		if profiled {
-			sc.sink.level = lvl
-		}
+		sc.sink.level = lvl
 		for _, run := range level.Runs {
 			f := run.FindFile(key)
 			if f == nil {
@@ -326,31 +321,19 @@ func (db *DB) scan(start, end []byte, limit int, traceID uint64) ([]KV, error) {
 			db.prof.observe(profScan, h, start)
 		}
 	}
-	var sp *trace.Span
-	if db.tracer != nil {
-		sp = db.tracer.StartID(trace.OpScan, traceID)
-		if sp != nil { // head sampling may have declined this op
-			if traceID != 0 {
-				sp.Retain() // explicitly requested over the wire
-			}
-			sp.SetTenant(admission.TenantOf(start))
-			defer db.tracer.Finish(sp)
-		}
-	}
+	sp := db.startSpan(trace.OpScan, traceID, start)
+	defer db.tracer.Finish(sp)
 	it, err := db.NewIterator(IterOptions{LowerBound: start, UpperBound: end})
 	if err != nil {
 		sp.SetErr(err)
 		return nil, err
 	}
 	defer it.Close()
-	var t0 int64
-	if sp != nil {
-		t0 = db.opts.NowNs()
-	}
+	t0 := db.spanNow(sp)
 	out, err := Collect(it, limit)
 	db.m.ScanEntries.Add(int64(len(out)))
+	sp.StageSince("iterate", t0, db.spanNow(sp))
 	if sp != nil {
-		sp.StageSince("iterate", t0, db.opts.NowNs())
 		var bytes int64
 		for _, e := range out {
 			bytes += int64(len(e.Key) + len(e.Value))

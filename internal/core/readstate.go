@@ -156,7 +156,7 @@ func (rs *readState) reader(num uint64) (*sstable.Reader, error) {
 	if db.bcache != nil {
 		bc = db.bcache
 	}
-	r, err := sstable.Open(f, sstable.ReaderOptions{FileNum: num, Cache: bc, Stats: statsSink{&db.m}})
+	r, err := sstable.Open(f, sstable.ReaderOptions{FileNum: num, Cache: bc, Stats: &db.m})
 	if err != nil {
 		f.Close()
 		return nil, err

@@ -36,7 +36,7 @@ func (db *DB) SetShape(layout compaction.Layout, sizeRatio int) error {
 		db.opts.SizeRatio = sizeRatio
 	}
 	db.picker.Store(compaction.NewPicker(popts))
-	db.maybeScheduleWork()
+	db.cond.Broadcast()
 	return nil
 }
 

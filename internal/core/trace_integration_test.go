@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"lsmlab/internal/compaction"
 	"lsmlab/internal/trace"
 )
 
@@ -220,4 +221,120 @@ func TestUntracedPathsUnchanged(t *testing.T) {
 	if _, err := db.ScanTraced(nil, nil, 0, 7); err != nil {
 		t.Fatalf("ScanTraced without tracer: %v", err)
 	}
+}
+
+// TestTracedSampledGetReportsOnce pins the fan-out of a table read
+// that is both traced and profiler-sampled: every filter probe and
+// block fetch counts once in the metrics and once in the span, and
+// profSample times in the levelIO of the level it read. A lookup that
+// is neither traced nor sampled touches the metrics alone.
+func TestTracedSampledGetReportsOnce(t *testing.T) {
+	tr := trace.New(trace.Options{RingSize: 64, Seed: 1}) // keeps wire-traced spans only
+	db, _ := testDB(t, func(o *Options) {
+		o.Tracer = tr
+		o.Layout = compaction.TieredFirst{K0: 100} // both runs stay in L0
+	})
+	for i := 0; i < 50; i++ {
+		db.Put([]byte(fmt.Sprintf("k-%03d", i)), []byte("gen1"))
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	db.Put([]byte("k-000"), []byte("gen2"))
+	db.Put([]byte("k-049"), []byte("gen2"))
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if runs := len(db.Version().Levels[0].Runs); runs != 2 {
+		t.Fatalf("L0 holds %d runs, want 2", runs)
+	}
+	db.Put([]byte("mem"), []byte("v")) // a lookup that reaches no table
+	key := []byte("k-020")             // in the older run, inside the newer run's range
+	levels := func() []levelIOSnap {
+		out := make([]levelIOSnap, len(db.prof.levels))
+		for i := range db.prof.levels {
+			out[i] = db.prof.levels[i].snap()
+		}
+		return out
+	}
+	getSpans := func() int {
+		n := 0
+		for _, sp := range tr.Spans() {
+			if sp.Op == trace.OpGet {
+				n++
+			}
+		}
+		return n
+	}
+	// nextSampled moves the get clock with memtable hits until the next
+	// get is (want true) or is not (want false) sampled.
+	nextSampled := func(want bool) {
+		for profSampled(uint64(db.m.Gets.Load())+1) != want {
+			if _, err := db.Get([]byte("mem")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(name string, traced bool) {
+		m0, l0, s0 := db.Metrics(), levels(), getSpans()
+		var v []byte
+		var err error
+		if traced {
+			v, err = db.GetTraced(key, 99)
+		} else {
+			v, err = db.Get(key)
+		}
+		if err != nil || string(v) != "gen1" {
+			t.Fatalf("%s: get = %q, %v", name, v, err)
+		}
+		d := db.Metrics().Sub(m0)
+		l1 := levels()
+		if !traced {
+			if d.BlockReads == 0 || d.FilterProbes == 0 {
+				t.Fatalf("%s: metrics saw %d block reads, %d filter probes", name, d.BlockReads, d.FilterProbes)
+			}
+			for i := range l1 {
+				if l1[i].sub(l0[i]) != (levelIOSnap{}) {
+					t.Errorf("%s: level %d I/O moved: %+v", name, i, l1[i].sub(l0[i]))
+				}
+			}
+			if getSpans() != s0 {
+				t.Errorf("%s: a get span was retained", name)
+			}
+			return
+		}
+		sp := lastSpan(t, tr, trace.OpGet)
+		if sp.TraceID != 99 || getSpans() != s0+1 {
+			t.Fatalf("%s: span %x, %d new get spans", name, sp.TraceID, getSpans()-s0)
+		}
+		if sp.BlockReads == 0 || sp.FilterProbes == 0 {
+			t.Fatalf("%s: span saw %d block reads, %d filter probes", name, sp.BlockReads, sp.FilterProbes)
+		}
+		if d.BlockReads != int64(sp.BlockReads) || d.BlockReadsCached != int64(sp.BlockReadsCached) ||
+			d.FilterProbes != int64(sp.FilterProbes) || d.FilterNegatives != int64(sp.FilterNegatives) {
+			t.Errorf("%s: metrics reads %d (cached %d), probes %d (negative %d); span %d (%d), %d (%d)", name,
+				d.BlockReads, d.BlockReadsCached, d.FilterProbes, d.FilterNegatives,
+				sp.BlockReads, sp.BlockReadsCached, sp.FilterProbes, sp.FilterNegatives)
+		}
+		l := l1[0].sub(l0[0])
+		if l.blockReads != profSample*int64(sp.BlockReads) || l.blockReadsCached != profSample*int64(sp.BlockReadsCached) ||
+			l.runsProbed != profSample*int64(sp.Runs) {
+			t.Errorf("%s: L0 I/O %+v, want %d× the span's %d reads (%d cached), %d runs", name,
+				l, profSample, sp.BlockReads, sp.BlockReadsCached, sp.Runs)
+		}
+		if uncached := sp.BlockReads - sp.BlockReadsCached; (uncached > 0) != (l.readBytes > 0) || l.readBytes%profSample != 0 {
+			t.Errorf("%s: L0 read %d bytes for %d uncached blocks", name, l.readBytes, uncached)
+		}
+		for i := 1; i < len(l1); i++ {
+			if l1[i].sub(l0[i]) != (levelIOSnap{}) {
+				t.Errorf("%s: level %d I/O moved: %+v", name, i, l1[i].sub(l0[i]))
+			}
+		}
+	}
+	nextSampled(true)
+	check("traced+sampled, cold", true)
+	nextSampled(true)
+	check("traced+sampled, cached", true)
+	nextSampled(false)
+	check("untraced, unsampled", false)
 }

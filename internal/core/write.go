@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"lsmlab/internal/admission"
 	"lsmlab/internal/bloom"
 	"lsmlab/internal/events"
 	"lsmlab/internal/kv"
@@ -177,26 +176,19 @@ func (db *DB) apply(b *Batch, traceID uint64) error {
 			db.prof.observe(op, h, b.ops[i].Key)
 		}
 	}
-	var sp *trace.Span
-	if db.tracer != nil {
-		op := trace.OpBatch
-		if len(b.ops) == 1 {
-			op = trace.OpPut
+	op := trace.OpBatch
+	if len(b.ops) == 1 {
+		op = trace.OpPut
+	}
+	sp := db.startSpan(op, traceID, b.ops[0].Key)
+	defer db.tracer.Finish(sp)
+	if sp != nil {
+		sp.AddEntries(len(b.ops))
+		var bytes int64
+		for i := range b.ops {
+			bytes += int64(len(b.ops[i].Key) + len(b.ops[i].Value))
 		}
-		sp = db.tracer.StartID(op, traceID)
-		if sp != nil { // head sampling may have declined this op
-			if traceID != 0 {
-				sp.Retain() // explicitly requested over the wire
-			}
-			defer db.tracer.Finish(sp)
-			sp.AddEntries(len(b.ops))
-			sp.SetTenant(admission.TenantOf(b.ops[0].Key))
-			var bytes int64
-			for i := range b.ops {
-				bytes += int64(len(b.ops[i].Key) + len(b.ops[i].Value))
-			}
-			sp.AddBytes(bytes)
-		}
+		sp.AddBytes(bytes)
 	}
 
 	// WiscKey: divert large values to the value log before WAL framing
@@ -205,10 +197,7 @@ func (db *DB) apply(b *Batch, traceID uint64) error {
 	// diversion runs before the pipeline, outside every engine lock.
 	ops := b.ops
 	if db.vlog != nil && db.opts.ValueSeparationThreshold > 0 {
-		var t0 int64
-		if sp != nil {
-			t0 = db.opts.NowNs()
-		}
+		t0 := db.spanNow(sp)
 		ops = make([]wal.Op, len(b.ops))
 		copy(ops, b.ops)
 		for i := range ops {
@@ -222,15 +211,10 @@ func (db *DB) apply(b *Batch, traceID uint64) error {
 				ops[i].Value = p.Encode()
 			}
 		}
-		if sp != nil {
-			sp.StageSince("vlog", t0, db.opts.NowNs())
-		}
+		sp.StageSince("vlog", t0, db.spanNow(sp))
 	}
 
-	var tCommit int64
-	if sp != nil {
-		tCommit = db.opts.NowNs()
-	}
+	tCommit := db.spanNow(sp)
 	req := &commitRequest{userOps: b.ops, ops: ops}
 	db.commitJoin(req)
 	if !req.registered {
@@ -240,34 +224,26 @@ func (db *DB) apply(b *Batch, traceID uint64) error {
 		sp.SetErr(req.err)
 		return req.err
 	}
-	var tApply int64
-	if sp != nil {
-		tApply = db.opts.NowNs()
-		// Only the leader lingered; a member's wait for it is commit time.
-		if req.lingerNs > 0 {
-			sp.Stage("linger", req.lingerNs)
-		}
-		sp.Stage("commit", tApply-tCommit-req.lingerNs)
-		sp.AddStallNs(req.stallNs)
-		sp.SetBatches(req.groupN)
+	tApply := db.spanNow(sp)
+	// Only the leader lingered; a member's wait for it is commit time.
+	if req.lingerNs > 0 {
+		sp.Stage("linger", req.lingerNs)
 	}
+	sp.Stage("commit", tApply-tCommit-req.lingerNs)
+	sp.AddStallNs(req.stallNs)
+	sp.SetBatches(req.groupN)
 	if req.err == nil {
 		db.applyToMem(req)
 	}
 	req.mem.writers.Done()
-	var tPub int64
-	if sp != nil {
-		tPub = db.opts.NowNs()
-		sp.StageSince("apply", tApply, tPub)
-	}
+	tPub := db.spanNow(sp)
+	sp.StageSince("apply", tApply, tPub)
 	db.commit.publish(db, req)
-	if sp != nil {
-		now := db.opts.NowNs()
-		sp.StageSince("publish", tPub, now)
-		// Commit wait is everything spent in the pipeline — WAL group
-		// write plus ordered publish — as the caller observed it.
-		sp.AddCommitWaitNs(now - tCommit - (tPub - tApply))
-	}
+	now := db.spanNow(sp)
+	sp.StageSince("publish", tPub, now)
+	// Commit wait is everything spent in the pipeline — WAL group
+	// write plus ordered publish — as the caller observed it.
+	sp.AddCommitWaitNs(now - tCommit - (tPub - tApply))
 	if req.err != nil {
 		sp.SetErr(req.err)
 		return req.err
@@ -412,7 +388,7 @@ func (db *DB) rotateMemtableLocked() error {
 	}
 	db.imm = append(db.imm, old)
 	db.publishLocked().unpin() // same version: the release deletes nothing
-	db.maybeScheduleWork()
+	db.cond.Broadcast()
 	if oldWAL != nil {
 		return oldWAL.Close()
 	}

@@ -149,6 +149,34 @@ type Snapshot struct {
 	ReplBatchesApplied, ReplRepairOps             int64
 }
 
+// FilterProbe counts one Bloom-filter probe. With BlockRead it makes
+// *Metrics the sstable.ReadStats every table reports to by default.
+func (m *Metrics) FilterProbe(negative bool) {
+	m.FilterProbes.Add(1)
+	if negative {
+		m.FilterNegatives.Add(1)
+	}
+}
+
+// BlockRead counts one data-block fetch; the engine-wide counters keep
+// no byte total (the profiler's per-level one does).
+func (m *Metrics) BlockRead(cached bool, _ int) {
+	m.BlockReads.Add(1)
+	if cached {
+		m.BlockReadsCached.Add(1)
+	}
+}
+
+// CacheAccess counts one block-cache lookup: *Metrics is the engine's
+// cache.Stats.
+func (m *Metrics) CacheAccess(hit bool) {
+	if hit {
+		m.CacheHits.Add(1)
+	} else {
+		m.CacheMisses.Add(1)
+	}
+}
+
 // Snapshot returns a copy of the current counter values.
 func (m *Metrics) Snapshot() Snapshot {
 	var s Snapshot

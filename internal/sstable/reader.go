@@ -24,20 +24,13 @@ type BlockCache interface {
 	Add(fileNum, offset uint64, value any, charge int)
 }
 
-// ReadStats receives read-path events from a Reader. The engine wires
-// this to its metrics; a nil ReadStats is silently ignored.
+// ReadStats receives read-path events from a Reader: one FilterProbe
+// per Bloom-filter probe and one BlockRead per data-block fetch, with
+// the block's on-disk size. The engine wires this to its metrics; a nil
+// ReadStats is silently ignored.
 type ReadStats interface {
 	FilterProbe(negative bool)
-	BlockRead(cached bool)
-}
-
-// BlockBytesSink is an optional ReadStats extension: sinks that also
-// implement it receive the on-disk byte size of every data block
-// fetched, alongside the BlockRead count. The engine's per-level I/O
-// profiler uses it to attribute real read bytes to the level each
-// block came from.
-type BlockBytesSink interface {
-	BlockReadBytes(n int, cached bool)
+	BlockRead(cached bool, bytes int)
 }
 
 // ReaderOptions configures how a table is opened.
@@ -176,7 +169,9 @@ func (r *Reader) readDataBlock(h blockHandle, st ReadStats, own *blockBuf) (*blo
 		}
 		v, hit, ok := c.Lookup(r.opts.FileNum, h.offset, charge)
 		if hit {
-			reportBlockRead(st, h, true)
+			if st != nil {
+				st.BlockRead(true, int(h.length))
+			}
 			return v.(*block), nil
 		}
 		admit = ok
@@ -192,21 +187,13 @@ func (r *Reader) readDataBlock(h blockHandle, st ReadStats, own *blockBuf) (*blo
 	if err := decodeBlockInto(&own.blk, raw); err != nil {
 		return nil, err
 	}
-	reportBlockRead(st, h, false)
+	if st != nil {
+		st.BlockRead(false, int(h.length))
+	}
 	if admit {
 		r.opts.Cache.Add(r.opts.FileNum, h.offset, &own.blk, len(raw))
 	}
 	return &own.blk, nil
-}
-
-// reportBlockRead reports one data-block fetch to st, if any.
-func reportBlockRead(st ReadStats, h blockHandle, cached bool) {
-	if st != nil {
-		st.BlockRead(cached)
-		if bs, ok := st.(BlockBytesSink); ok {
-			bs.BlockReadBytes(int(h.length), cached)
-		}
-	}
 }
 
 // Props returns the table's properties.
@@ -256,16 +243,8 @@ func decodeHandle(v []byte) (blockHandle, error) {
 // consulted here — the read path merges them across runs. The Bloom
 // filter is probed with the precomputed hash.
 func (r *Reader) Get(ukey []byte, hash uint64, snap kv.SeqNum) (kv.Entry, bool, error) {
-	return r.GetWith(ukey, hash, snap, nil)
-}
-
-// GetWith is Get with a per-operation stats sink: a non-nil st replaces
-// the reader's configured ReadStats for this lookup, so a traced
-// request can attribute its filter probes and block fetches to its own
-// span. A nil st reports to r.opts.Stats as usual.
-func (r *Reader) GetWith(ukey []byte, hash uint64, snap kv.SeqNum, st ReadStats) (kv.Entry, bool, error) {
 	var sc GetScratch
-	e, ok, err := r.GetScratched(ukey, kv.MakeSearchKey(ukey, snap), hash, st, &sc)
+	e, ok, err := r.GetScratched(ukey, kv.MakeSearchKey(ukey, snap), hash, nil, &sc)
 	if ok {
 		e = e.Clone() // detach from the scratch for standalone callers
 	}
@@ -285,7 +264,9 @@ type GetScratch struct {
 
 // GetScratched is the allocation-free point lookup: search must be
 // kv.MakeSearchKey(ukey, snap) (built once by the caller and shared
-// across every run probed), and sc carries the cursors across calls.
+// across every run probed), and sc carries the cursors across calls. A
+// non-nil st replaces the reader's configured ReadStats for this
+// lookup, so a traced or sampled request sees its own probes.
 //
 // The returned key ALIASES sc's key buffer and is valid only until the
 // next lookup through sc. The value is read-only and valid for as long

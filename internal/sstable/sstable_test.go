@@ -334,7 +334,7 @@ func (s *recordingStats) FilterProbe(negative bool) {
 	}
 }
 
-func (s *recordingStats) BlockRead(cached bool) {
+func (s *recordingStats) BlockRead(cached bool, _ int) {
 	if cached {
 		s.cachedReads++
 	} else {

@@ -134,7 +134,8 @@ func (sp *Span) FilterProbe(negative bool) {
 	}
 }
 
-// BlockRead mirrors sstable.ReadStats: one data-block fetch.
+// BlockRead mirrors sstable.ReadStats, less the byte count: one
+// data-block fetch.
 func (sp *Span) BlockRead(cached bool) {
 	if sp == nil {
 		return
