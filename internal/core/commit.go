@@ -390,10 +390,10 @@ func (db *DB) applyToMem(req *commitRequest) {
 			req.mem.addRangeDel(kv.RangeTombstone{Start: cp(op.Key), End: cp(op.Value), Seq: seq})
 			deletes++
 		case kv.KindDelete, kv.KindSingleDelete:
-			req.mem.mt.Add(seq, op.Kind, op.Key, op.Value)
+			req.mem.add(seq, op.Kind, op.Key, op.Value)
 			deletes++
 		default:
-			req.mem.mt.Add(seq, op.Kind, op.Key, op.Value)
+			req.mem.add(seq, op.Kind, op.Key, op.Value)
 			puts++
 		}
 		// Ingested bytes are accounted at user-visible size: for

@@ -31,8 +31,8 @@ var ErrClosed = errors.New("lsm: database closed")
 // ErrNotFound is returned by Get when the key has no live value.
 var ErrNotFound = errors.New("lsm: key not found")
 
-// memWrapper pairs a memtable with its range tombstones and the WAL
-// segment that protects it.
+// memWrapper pairs a memtable with its key filter, its range
+// tombstones and the WAL segment that protects it.
 type memWrapper struct {
 	mt     memtable.Memtable
 	walNum uint64
@@ -47,20 +47,51 @@ type memWrapper struct {
 	// its WAL segment never deleted) before those inserts land.
 	writers sync.WaitGroup
 
-	rmu       sync.RWMutex
-	rangeDels []kv.RangeTombstone
+	// keys filters the user keys of every point entry in mt, so a point
+	// read skips a buffer that cannot hold its key (DESIGN §2a).
+	keys keyFilter
+
+	// rangeDels is copy-on-write: a published slice is never written,
+	// so readers load it without a lock. rdMu serializes the writers.
+	rdMu      sync.Mutex
+	rangeDels atomic.Pointer[[]kv.RangeTombstone]
 }
 
+func newMemWrapper(opts *Options) *memWrapper {
+	return &memWrapper{mt: memtable.New(opts.MemtableKind), keys: newKeyFilter(opts.BufferBytes)}
+}
+
+// add inserts one point entry. The key's filter bits are set before
+// mt.Add and therefore before the commit pipeline publishes seq, so a
+// reader that can see the entry also sees its bits.
+func (m *memWrapper) add(seq kv.SeqNum, kind kv.Kind, ukey, value []byte) {
+	m.keys.add(bufferKeyHash(bloom.Hash64(ukey)))
+	m.mt.Add(seq, kind, ukey, value)
+}
+
+// addRangeDel publishes the tombstone list extended by t. append writes
+// only past the published length, or into a fresh array, so no element
+// a reader may hold is ever written.
 func (m *memWrapper) addRangeDel(t kv.RangeTombstone) {
-	m.rmu.Lock()
-	m.rangeDels = append(m.rangeDels, t)
-	m.rmu.Unlock()
+	m.rdMu.Lock()
+	var cur []kv.RangeTombstone
+	if p := m.rangeDels.Load(); p != nil {
+		cur = *p
+	}
+	next := append(cur, t)
+	m.rangeDels.Store(&next)
+	m.rdMu.Unlock()
 }
 
+// rangeTombstones returns the published tombstones without a lock or a
+// copy. The slice is read-only; its capacity is clipped to its length,
+// so a caller's append copies rather than writing into shared memory.
 func (m *memWrapper) rangeTombstones() []kv.RangeTombstone {
-	m.rmu.RLock()
-	defer m.rmu.RUnlock()
-	return append([]kv.RangeTombstone(nil), m.rangeDels...)
+	p := m.rangeDels.Load()
+	if p == nil {
+		return nil
+	}
+	return (*p)[:len(*p):len(*p)]
 }
 
 // DB is an LSM-tree key-value store.
@@ -339,7 +370,7 @@ func (db *DB) recoverWALs() error {
 		if err != nil {
 			return err
 		}
-		mw := &memWrapper{mt: memtable.New(db.opts.MemtableKind)}
+		mw := newMemWrapper(&db.opts)
 		err = wal.Replay(f, func(b wal.Batch) error {
 			seq := b.Seq
 			for _, op := range b.Ops {
@@ -347,7 +378,7 @@ func (db *DB) recoverWALs() error {
 				case kv.KindRangeDelete:
 					mw.addRangeDel(kv.RangeTombstone{Start: op.Key, End: op.Value, Seq: seq})
 				default:
-					mw.mt.Add(seq, op.Kind, op.Key, op.Value)
+					mw.add(seq, op.Kind, op.Key, op.Value)
 				}
 				seq++
 			}
@@ -372,7 +403,7 @@ func (db *DB) recoverWALs() error {
 
 // newMemtableLocked installs a fresh mutable buffer and its WAL segment.
 func (db *DB) newMemtableLocked() error {
-	mw := &memWrapper{mt: memtable.New(db.opts.MemtableKind)}
+	mw := newMemWrapper(&db.opts)
 	if !db.opts.DisableWAL {
 		num := db.nextFile
 		db.nextFile++

@@ -214,13 +214,18 @@ func (db *DB) search(rs *readState, seq kv.SeqNum, key []byte, hash uint64, prof
 		st = &sc.sink
 	}
 
-	// Memtables.
+	// Memtables. A buffer's range tombstones count even when its key
+	// filter rules the key out: maxRT spans every source.
+	bh := bufferKeyHash(hash)
 	for _, mw := range rs.mems {
 		for _, rt := range mw.rangeTombstones() {
 			if rt.Seq <= seq && rt.Seq > maxRT &&
 				bytes.Compare(rt.Start, key) <= 0 && bytes.Compare(key, rt.End) < 0 {
 				maxRT = rt.Seq
 			}
+		}
+		if !mw.keys.mayContain(bh) {
+			continue
 		}
 		if e, ok := mw.mt.GetSeek(sc.search, key, seq); ok {
 			if e.Seq() < maxRT {
