@@ -30,11 +30,10 @@ func corruptOneLiveTable(t *testing.T, db *DB, ffs *faultfs.FS) uint64 {
 	return victim
 }
 
-// TestCompactionSurfacesCorruptInput pins the regression where a
-// corrupt input block made its source iterator look exhausted: the
-// compaction would install a silently truncated output and delete the
-// only copy of the data. It must fail instead, keeping the inputs.
-func TestCompactionSurfacesCorruptInput(t *testing.T) {
+// twoRunStoreWithCorruptTable opens a store with two flushed level-0
+// runs and a flipped bit in one live table, whose number it returns.
+func twoRunStoreWithCorruptTable(t *testing.T) (*DB, vfs.FS, uint64) {
+	t.Helper()
 	base := vfs.NewMem()
 	ffs := faultfs.New(base, 7)
 	opts := DefaultOptions(ffs, "db")
@@ -44,7 +43,7 @@ func TestCompactionSurfacesCorruptInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
+	t.Cleanup(func() { db.Close() })
 	for round := 0; round < 2; round++ {
 		for i := 0; i < 20; i++ {
 			if err := db.Put([]byte(fmt.Sprintf("r%d-k%03d", round, i)), make([]byte, 100)); err != nil {
@@ -56,10 +55,17 @@ func TestCompactionSurfacesCorruptInput(t *testing.T) {
 		}
 	}
 	db.WaitIdle()
+	return db, base, corruptOneLiveTable(t, db, ffs)
+}
 
-	victim := corruptOneLiveTable(t, db, ffs)
+// TestCompactionSurfacesCorruptInput pins the regression where a
+// corrupt input block made its source iterator look exhausted: the
+// compaction would install a silently truncated output and delete the
+// only copy of the data. It must fail instead, keeping the inputs.
+func TestCompactionSurfacesCorruptInput(t *testing.T) {
+	db, base, victim := twoRunStoreWithCorruptTable(t)
 
-	err = db.Compact()
+	err := db.Compact()
 	if !errors.Is(err, sstable.ErrCorrupt) {
 		t.Fatalf("Compact over a corrupt input = %v, want ErrCorrupt", err)
 	}
@@ -76,6 +82,24 @@ func TestCompactionSurfacesCorruptInput(t *testing.T) {
 		if !base.Exists(vfs.Join("db", manifest.FileName(num))) {
 			t.Fatalf("live table %06d.sst missing after failed compaction", num)
 		}
+	}
+}
+
+// TestManualCompactionCorruptionDegrades checks that a manual
+// compaction runs under the background jobs' retry/degrade policy: a
+// corrupt input degrades the store, as the next background compaction
+// of the same inputs would.
+func TestManualCompactionCorruptionDegrades(t *testing.T) {
+	db, _, _ := twoRunStoreWithCorruptTable(t)
+	if err := db.Compact(); !errors.Is(err, sstable.ErrCorrupt) {
+		t.Fatalf("Compact over a corrupt input = %v, want ErrCorrupt", err)
+	}
+	h := db.Health()
+	if !h.Degraded || h.Op != "compaction" || h.Kind != "corruption" {
+		t.Fatalf("health = %+v, want degraded by a compaction corruption", h)
+	}
+	if err := db.Put([]byte("k"), []byte("v")); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("put on the degraded store = %v, want ErrDegraded", err)
 	}
 }
 

@@ -40,6 +40,9 @@ type memWrapper struct {
 	// db.mu); retries back off so a persistently failing device does not
 	// spin a worker at full speed.
 	flushFailures int
+	// building marks a buffer a worker has claimed for its flush
+	// (guarded by db.mu).
+	building bool
 
 	// writers counts commit-group members whose memtable inserts are
 	// still in flight. A flush waits for it to drain, so a buffer
@@ -104,7 +107,8 @@ type DB struct {
 	cond *sync.Cond // broadcast when stalls may clear or work completes
 	// mem, imm, version and closed are the writer-side truth, guarded by
 	// mu. Readers never look at them: each change is frozen into state
-	// (readstate.go) by publishLocked, and readers pin that.
+	// (readstate.go) by publishLocked, and readers pin that. mem is nil
+	// once Close has retired it: the store is closing.
 	mem       *memWrapper
 	imm       []*memWrapper // oldest first
 	version   *manifest.Version
@@ -114,11 +118,12 @@ type DB struct {
 	walFile   vfs.File
 	wal       *wal.Writer
 	snapshots map[kv.SeqNum]int
-	busyLevel map[int]bool         // levels currently compacting
-	building  map[*memWrapper]bool // immutable buffers being flushed
+	busyLevel map[int]bool // levels a claimed compaction works on
+	running   int          // claimed jobs in flight
 	closed    bool
 	bgErr     error  // first background error; surfaced in Health/stats and on Close
 	bgErrOp   string // operation ("flush", "compaction") that produced bgErr
+	lastBgErr error  // most recent background error; what Flush reports
 
 	// compactFailures counts consecutive failed compaction attempts
 	// (guarded by db.mu), driving retry backoff and the degradation
@@ -241,7 +246,6 @@ func Open(opts Options) (*DB, error) {
 		dir:       opts.Path,
 		snapshots: make(map[kv.SeqNum]int),
 		busyLevel: make(map[int]bool),
-		building:  make(map[*memWrapper]bool),
 		listener:  opts.EventListener,
 		tracer:    opts.Tracer,
 		timeOps:   opts.EventListener != nil || opts.RecordLatencies,
@@ -512,68 +516,77 @@ func (db *DB) worker(flushOnly bool) {
 		// A degraded engine initiates no background work: the device is
 		// suspect and writes are already refused, so workers park until
 		// close.
-		if db.degraded != nil {
-			db.cond.Wait()
-			continue
-		}
-		// Flushes first: they unblock writers. Multiple workers may
-		// build flushes concurrently; installation is serialized in
-		// queue order so level-0 run recency stays correct.
-		var flushTarget *memWrapper
-		for _, mw := range db.imm {
-			if !db.building[mw] {
-				flushTarget = mw
-				break
-			}
-		}
-		if flushTarget != nil {
-			db.building[flushTarget] = true
-			backoff := retryBackoff(flushTarget.flushFailures)
-			db.mu.Unlock()
-			if backoff > 0 {
-				time.Sleep(backoff)
-			}
-			err := db.runJob(flushTarget, nil)
-			db.mu.Lock()
-			delete(db.building, flushTarget)
-			if err != nil {
-				flushTarget.flushFailures++
-				db.noteBackgroundFailure("flush", flushTarget.flushFailures, err)
-			} else {
-				flushTarget.flushFailures = 0
-			}
-			db.cond.Broadcast()
-			continue
-		}
-		if !flushOnly {
-			if job := db.pickUnlockedJob(); job != nil {
-				for lvl := range job.Inputs {
-					db.busyLevel[lvl] = true
-				}
-				db.busyLevel[job.ToLevel] = true
-				backoff := retryBackoff(db.compactFailures)
-				db.mu.Unlock()
-				if backoff > 0 {
-					time.Sleep(backoff)
-				}
-				err := db.runJob(nil, job)
-				db.mu.Lock()
-				for lvl := range job.Inputs {
-					delete(db.busyLevel, lvl)
-				}
-				delete(db.busyLevel, job.ToLevel)
-				if err != nil {
-					db.compactFailures++
-					db.noteBackgroundFailure("compaction", db.compactFailures, err)
-				} else {
-					db.compactFailures = 0
-				}
-				db.cond.Broadcast()
+		if db.degraded == nil {
+			if mw, c := db.nextJobLocked(flushOnly); mw != nil || c != nil {
+				db.runClaimedLocked(mw, c)
 				continue
 			}
 		}
 		db.cond.Wait()
 	}
+}
+
+// nextJobLocked returns the next job a worker should claim: the oldest
+// unclaimed immutable buffer, or else, unless flushOnly, a compaction
+// that touches no busy level. Flushes come first because they unblock
+// writers. Multiple workers may build flushes concurrently; doFlush
+// installs them in queue order so level-0 run recency stays correct.
+// Callers hold db.mu.
+func (db *DB) nextJobLocked(flushOnly bool) (*memWrapper, *compaction.Job) {
+	for _, mw := range db.imm {
+		if !mw.building {
+			return mw, nil
+		}
+	}
+	if flushOnly {
+		return nil, nil
+	}
+	return nil, db.pickUnlockedJob()
+}
+
+// runClaimedLocked is the one bracket of every flush (mw) and
+// compaction (c), background or manual: claim the job's buffer or
+// levels, back off after consecutive failures, run it without db.mu,
+// release the claim, and apply the retry/degrade policy to its outcome.
+// Callers hold db.mu, which is released while the job runs.
+func (db *DB) runClaimedLocked(mw *memWrapper, c *compaction.Job) error {
+	op, failures := "compaction", &db.compactFailures
+	if mw != nil {
+		op, failures = "flush", &mw.flushFailures
+	}
+	db.claimLocked(mw, c, true)
+	db.running++
+	backoff := retryBackoff(*failures)
+	db.mu.Unlock()
+	if backoff > 0 {
+		time.Sleep(backoff)
+	}
+	err := db.runJob(mw, c)
+	db.mu.Lock()
+	db.claimLocked(mw, c, false)
+	db.running--
+	if err != nil {
+		*failures++
+		db.noteBackgroundFailure(op, *failures, err)
+	} else {
+		*failures = 0
+	}
+	db.cond.Broadcast()
+	return err
+}
+
+// claimLocked marks (on) or releases what a job works on, its buffer
+// or its compaction's levels, so concurrent workers take disjoint work.
+// Callers hold db.mu.
+func (db *DB) claimLocked(mw *memWrapper, c *compaction.Job, on bool) {
+	if mw != nil {
+		mw.building = on
+		return
+	}
+	for lvl := range c.Inputs {
+		db.busyLevel[lvl] = on
+	}
+	db.busyLevel[c.ToLevel] = on
 }
 
 // retryBackoff is the capped exponential backoff between retries of a
@@ -608,8 +621,7 @@ func (db *DB) pickUnlockedJob() *compaction.Job {
 func (db *DB) waitIdle() {
 	db.mu.Lock()
 	for {
-		idle := len(db.imm) == 0 && len(db.building) == 0 && len(db.busyLevel) == 0 &&
-			db.pickUnlockedJob() == nil
+		idle := db.running == 0 && len(db.imm) == 0 && db.pickUnlockedJob() == nil
 		// A degraded engine counts as idle: workers are parked and the
 		// pending queue will never drain, so waiting would hang forever.
 		if idle || db.closed || db.degraded != nil {
@@ -645,10 +657,12 @@ func (db *DB) DiskUsageBytes() uint64 {
 // Version returns the current tree structure (immutable; safe to read).
 func (db *DB) Version() *manifest.Version { return db.state.Load().version }
 
-// Flush forces the mutable memtable to disk and waits for it.
+// Flush forces the mutable memtable to disk and waits for it. It
+// reports the latest background failure only if one happened while it
+// waited; one a retry got past earlier is left to Health.
 func (db *DB) Flush() error {
 	db.mu.Lock()
-	if db.closed {
+	if db.closed || db.mem == nil {
 		db.mu.Unlock()
 		return ErrClosed
 	}
@@ -658,23 +672,26 @@ func (db *DB) Flush() error {
 		return err
 	}
 	if db.mem.mt.Len() > 0 || len(db.mem.rangeTombstones()) > 0 {
-		if err := db.rotateMemtableLocked(); err != nil {
+		if err := db.rotateMemtableLocked(true); err != nil {
 			db.mu.Unlock()
 			return err
 		}
 	}
+	retries := db.m.BgRetries.Load()
 	db.mu.Unlock()
 	db.waitIdle()
 	db.mu.Lock()
 	err := db.degradedErrLocked()
-	if err == nil {
-		err = db.bgErr
+	if err == nil && db.m.BgRetries.Load() != retries {
+		err = db.lastBgErr
 	}
 	db.mu.Unlock()
 	return err
 }
 
-// Compact runs a full manual compaction into the last level.
+// Compact runs a full manual compaction into the last level, through
+// the same bracket, and so the same retry/degrade policy, as a
+// background one.
 func (db *DB) Compact() error {
 	if err := db.Flush(); err != nil {
 		return err
@@ -683,45 +700,38 @@ func (db *DB) Compact() error {
 	// Pick only once background work has drained: the wait releases
 	// db.mu, and a job picked before it could name inputs that a
 	// background compaction has since replaced.
-	for len(db.building) > 0 || len(db.busyLevel) > 0 {
+	for db.running > 0 {
 		db.cond.Wait()
 	}
-	job := db.picker.Load().ManualJob(db.version)
-	if job == nil {
-		db.mu.Unlock()
-		return nil
+	var err error
+	if job := db.picker.Load().ManualJob(db.version); job != nil {
+		err = db.runClaimedLocked(nil, job)
 	}
-	for lvl := range job.Inputs {
-		db.busyLevel[lvl] = true
-	}
-	db.busyLevel[job.ToLevel] = true
-	db.mu.Unlock()
-
-	err := db.runJob(nil, job)
-
-	db.mu.Lock()
-	for lvl := range job.Inputs {
-		delete(db.busyLevel, lvl)
-	}
-	delete(db.busyLevel, job.ToLevel)
-	db.cond.Broadcast()
 	db.mu.Unlock()
 	db.waitIdle()
 	return err
 }
 
-// Close flushes the mutable buffer, waits for background work, commits
-// the manifest, and releases every resource. The first background error
-// (if any) is returned.
+// Close is a rotation without a replacement: the mutable buffer joins
+// the immutable queue and db.mem stays nil, so later writes fail with
+// ErrClosed while reads keep serving. The workers flush and drain as
+// after any rotation; then Close commits the manifest and releases
+// every resource. A WAL segment is deleted only by its buffer's flush,
+// so a degraded store keeps every acknowledged write for the next
+// Open. The degradation cause, else the first background error, is
+// returned.
 func (db *DB) Close() error {
 	db.mu.Lock()
-	if db.closed {
+	if db.closed || db.mem == nil {
 		db.mu.Unlock()
 		return nil
 	}
+	// Queue the buffer even when it looks empty: a commit group that
+	// registered before the retire may not have applied yet, and only
+	// the flush's wait on its writers knows.
+	rotErr := db.rotateMemtableLocked(false)
 	db.mu.Unlock()
-
-	flushErr := db.Flush()
+	db.waitIdle()
 
 	db.mu.Lock()
 	db.closed = true
@@ -737,16 +747,13 @@ func (db *DB) Close() error {
 			firstErr = err
 		}
 	}
-	keep(flushErr)
+	keep(rotErr)
+	keep(db.degradedErrLocked())
 	keep(db.bgErr)
 	keep(db.commitLocked())
 	keep(db.store.Close())
-	if db.walFile != nil {
+	if db.walFile != nil { // a failed rotation left it open; Open replays it
 		keep(db.walFile.Close())
-		// The buffer was flushed; its (empty) WAL segment is garbage.
-		if db.mem != nil && db.mem.walNum != 0 {
-			db.fs.Remove(vfs.Join(db.dir, manifest.WALName(db.mem.walNum)))
-		}
 	}
 	if db.vlog != nil {
 		keep(db.vlog.Close())

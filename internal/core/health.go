@@ -183,6 +183,7 @@ func (db *DB) degradedErr() error {
 // the per-job consecutive-failure counter.
 func (db *DB) noteBackgroundFailure(op string, failures int, err error) {
 	db.m.BgRetries.Add(1)
+	db.lastBgErr = err
 	db.setBgErrLocked(op, err)
 	if classifyError(err) == KindCorruption || failures > db.opts.MaxBackgroundRetries {
 		db.degradeLocked(op, err)

@@ -47,12 +47,12 @@ func (db *DB) publishLocked() *readState {
 	prev := db.state.Load()
 	next := &readState{db: db, closed: db.closed, version: db.version}
 	next.refs.Store(1)
-	if db.mem != nil { // nil only while Open is still replaying the log
-		next.mems = make([]*memWrapper, 0, len(db.imm)+1)
+	next.mems = make([]*memWrapper, 0, len(db.imm)+1)
+	if db.mem != nil { // nil while Open replays the log and once Close retired it
 		next.mems = append(next.mems, db.mem)
-		for i := len(db.imm) - 1; i >= 0; i-- {
-			next.mems = append(next.mems, db.imm[i])
-		}
+	}
+	for i := len(db.imm) - 1; i >= 0; i-- {
+		next.mems = append(next.mems, db.imm[i])
 	}
 	if !db.closed {
 		var old map[uint64]*tableHandle

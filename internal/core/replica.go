@@ -36,7 +36,12 @@ func (db *DB) ReplicaApply(ops []wal.Op) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	return db.applyOps(ops)
+	if err := db.degradedErr(); err != nil {
+		return err
+	}
+	// Shipped batches are already post-diversion (see the replication
+	// restriction on value separation in internal/replica) and untraced.
+	return db.commitOps(ops, ops, nil)
 }
 
 // ReplicaRepair is the anti-entropy write path: Merkle repair re-ships
@@ -52,39 +57,10 @@ func (db *DB) ReplicaRepair(b *Batch) error {
 	if len(b.ops) == 0 {
 		return nil
 	}
-	return db.applyOps(b.ops)
-}
-
-// applyOps runs ops through the commit pipeline — the shared tail of
-// apply() without tracing or value-log diversion (shipped batches are
-// already post-diversion; see the replication restriction on value
-// separation in internal/replica).
-func (db *DB) applyOps(ops []wal.Op) error {
 	if err := db.degradedErr(); err != nil {
 		return err
 	}
-	req := &commitRequest{userOps: ops, ops: ops}
-	db.commitJoin(req)
-	if !req.registered {
-		return req.err
-	}
-	if req.err == nil {
-		db.applyToMem(req)
-	}
-	req.mem.writers.Done()
-	db.commit.publish(db, req)
-	if req.err != nil {
-		return req.err
-	}
-	if req.mem.mt.ApproximateBytes() >= db.opts.BufferBytes {
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		if db.mem == req.mem && db.mem.mt.ApproximateBytes() >= db.opts.BufferBytes &&
-			len(db.imm) < db.opts.MaxImmutableBuffers {
-			return db.rotateMemtableLocked()
-		}
-	}
-	return nil
+	return db.commitOps(b.ops, b.ops, nil)
 }
 
 // SyncWAL forces the active WAL segment to stable storage. The

@@ -42,10 +42,10 @@ type TreeStats struct {
 // TreeStats returns the current structure summary.
 func (db *DB) TreeStats() TreeStats {
 	rs := db.state.Load()
-	ts := TreeStats{
-		MemtableLen: rs.mems[0].mt.Len(),
-		Immutables:  len(rs.mems) - 1,
-		LiveSeq:     db.visibleSeq.Load(),
+	ts := TreeStats{LiveSeq: db.visibleSeq.Load()}
+	if len(rs.mems) > 0 { // none once Close has flushed the last buffer
+		ts.MemtableLen = rs.mems[0].mt.Len()
+		ts.Immutables = len(rs.mems) - 1
 	}
 	for _, mw := range rs.mems {
 		ts.MemtableBytes += uint64(mw.mt.ApproximateBytes())

@@ -214,8 +214,17 @@ func (db *DB) apply(b *Batch, traceID uint64) error {
 		sp.StageSince("vlog", t0, db.spanNow(sp))
 	}
 
+	return db.commitOps(b.ops, ops, sp)
+}
+
+// commitOps is the tail every write shares — local applies, shipped
+// replica batches and anti-entropy repairs: the commit pipeline (group
+// WAL append, memtable insert, ordered publish), then the rotation of
+// a buffer it filled. ops is userOps after value-log diversion. sp may
+// be nil; every span call ignores a nil span.
+func (db *DB) commitOps(userOps, ops []wal.Op, sp *trace.Span) error {
 	tCommit := db.spanNow(sp)
-	req := &commitRequest{userOps: b.ops, ops: ops}
+	req := &commitRequest{userOps: userOps, ops: ops}
 	db.commitJoin(req)
 	if !req.registered {
 		// The group failed before sequence assignment (stall abort or
@@ -255,9 +264,8 @@ func (db *DB) apply(b *Batch, traceID uint64) error {
 	if req.mem.mt.ApproximateBytes() >= db.opts.BufferBytes {
 		db.mu.Lock()
 		defer db.mu.Unlock()
-		if db.mem == req.mem && db.mem.mt.ApproximateBytes() >= db.opts.BufferBytes &&
-			len(db.imm) < db.opts.MaxImmutableBuffers {
-			return db.rotateMemtableLocked()
+		if db.mem == req.mem && len(db.imm) < db.opts.MaxImmutableBuffers {
+			return db.rotateMemtableLocked(true)
 		}
 	}
 	return nil
@@ -314,7 +322,7 @@ func (db *DB) makeRoomLocked() (stallNs int64, err error) {
 	for {
 		l0Stall := db.opts.StallL0Runs > 0 && len(db.version.Levels[0].Runs) >= db.opts.StallL0Runs
 		switch {
-		case db.closed:
+		case db.closed || db.mem == nil:
 			return 0, ErrClosed
 		case db.degraded != nil:
 			// Degradation mid-stall: the flush that would have made room
@@ -352,20 +360,19 @@ func (db *DB) makeRoomLocked() (stallNs int64, err error) {
 		case db.mem.mt.ApproximateBytes() < db.opts.BufferBytes:
 			return 0, nil
 		default:
-			return 0, db.rotateMemtableLocked()
+			return 0, db.rotateMemtableLocked(true)
 		}
 	}
 }
 
 // rotateMemtableLocked retires the mutable buffer to the immutable
-// queue and installs a fresh one (and WAL segment). Callers hold db.mu;
-// the WAL file swap additionally takes db.walMu so it cannot interleave
-// with a commit group's buffered append (commit.go pins db.wal under
-// both locks before appending).
-func (db *DB) rotateMemtableLocked() error {
-	if db.mem.mt.Len() == 0 && len(db.mem.rangeTombstones()) == 0 {
-		return nil
-	}
+// queue. With replace it installs a fresh buffer and WAL segment in its
+// place; without, it is Close's rotation and leaves db.mem, db.walFile
+// and db.wal nil. Callers hold db.mu and decide whether the buffer
+// needs retiring. The WAL file swap additionally takes db.walMu so it
+// cannot interleave with a commit group's buffered append (commit.go
+// pins db.wal under both locks before appending).
+func (db *DB) rotateMemtableLocked(replace bool) error {
 	db.walMu.Lock()
 	defer db.walMu.Unlock()
 	// Seal the active WAL before anything moves: the buffer's frames must
@@ -383,7 +390,9 @@ func (db *DB) rotateMemtableLocked() error {
 	// broadcast — stalled writers waited on workers that were never woken
 	// (found by the crash+fault torture harness).
 	old, oldWAL := db.mem, db.walFile
-	if err := db.newMemtableLocked(); err != nil {
+	if !replace {
+		db.mem, db.walFile, db.wal = nil, nil, nil
+	} else if err := db.newMemtableLocked(); err != nil {
 		return err
 	}
 	db.imm = append(db.imm, old)
