@@ -4,11 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"lsmlab/internal/vfs"
 	"lsmlab/internal/vfs/faultfs"
+	"lsmlab/internal/wal"
 )
 
 // stressKey names one op of one batch of one writer, so tests can
@@ -278,4 +282,84 @@ func TestGroupCommitCrashRecovery(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFlushWaitsForPublish holds one writer between its memtable insert
+// and its publish while Compact flushes the buffer it wrote to and
+// merges the whole tree. No table may hold the unpublished version: a
+// compaction keeps one version per explicit snapshot only, so it would
+// drop the published version beneath it, and reads at visibleSeq would
+// find neither. Reads during the hold must return the previous value.
+func TestFlushWaitsForPublish(t *testing.T) {
+	db, _ := testDB(t, nil)
+	key := []byte("k")
+	if err := db.Put(key, []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	held, release := make(chan struct{}), make(chan struct{})
+	db.beforePublish = func(ops []wal.Op) {
+		if string(ops[0].Value) == "v2" {
+			close(held)
+			<-release
+		}
+	}
+	put := make(chan error, 1)
+	go func() { put <- db.Put(key, []byte("v2")) }()
+	<-held
+	compacted := make(chan error, 1)
+	go func() { compacted <- db.Compact() }()
+
+	// Compact either finishes or parks its flush on the held writer;
+	// both are observed, not timed. The deadline only turns a hang into
+	// a failure.
+	var compactErr error
+	compactDone := false
+	deadline := time.Now().Add(time.Minute)
+	for !compactDone && !goroutineBlockedIn("sync.(*WaitGroup).Wait", "(*DB).doFlush") {
+		select {
+		case compactErr = <-compacted:
+			compactDone = true
+		default:
+			if time.Now().After(deadline) {
+				close(release)
+				t.Fatal("Compact neither returned nor parked its flush on the held writer")
+			}
+			runtime.Gosched()
+		}
+	}
+	if v, err := db.Get(key); err != nil || string(v) != "v1" {
+		t.Errorf("get during the held publish = %q, %v; want v1", v, err)
+	}
+	if kvs, err := db.Scan(key, append(key, 0), 0); err != nil || len(kvs) != 1 || string(kvs[0].Value) != "v1" {
+		t.Errorf("scan during the held publish = %v, %v; want [k=v1]", kvs, err)
+	}
+
+	close(release)
+	if err := <-put; err != nil {
+		t.Fatal(err)
+	}
+	if !compactDone {
+		compactErr = <-compacted
+	}
+	if compactErr != nil {
+		t.Fatal(compactErr)
+	}
+	if v, err := db.Get(key); err != nil || string(v) != "v2" {
+		t.Fatalf("get after publish = %q, %v; want v2", v, err)
+	}
+}
+
+// goroutineBlockedIn reports whether some goroutine's stack has caller
+// calling callee: a frame of callee with a frame of caller beneath it.
+// It reads frames, not the wait reason in the goroutine header, which
+// differs between Go releases.
+func goroutineBlockedIn(callee, caller string) bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if i := strings.Index(g, callee); i >= 0 && strings.Contains(g[i:], caller) {
+			return true
+		}
+	}
+	return false
 }

@@ -45,9 +45,10 @@ type memWrapper struct {
 	building bool
 
 	// writers counts commit-group members whose memtable inserts are
-	// still in flight. A flush waits for it to drain, so a buffer
+	// not yet published. A flush waits for it to drain, so a buffer
 	// retired while a group is applying is never written to disk (and
-	// its WAL segment never deleted) before those inserts land.
+	// its WAL segment never deleted) before those inserts land, and no
+	// table holds an entry above visibleSeq (DESIGN §2a).
 	writers sync.WaitGroup
 
 	// keys filters the user keys of every point entry in mt, so a point
@@ -154,6 +155,10 @@ type DB struct {
 	// sequence hole ever is.
 	lastSeq    atomic.Uint64
 	visibleSeq atomic.Uint64
+
+	// beforePublish, set only by tests before any write, runs in
+	// commitOps between a request's memtable insert and its publish.
+	beforePublish func(userOps []wal.Op)
 
 	bg     sync.WaitGroup
 	picker atomic.Pointer[compaction.Picker] // replaced whole by SetShape, under mu

@@ -273,11 +273,14 @@ func (db *DB) runJob(mw *memWrapper, c *compaction.Job) error {
 // metadata for event reporting. Nothing is garbage-collected at flush
 // time: every version, tombstone, and range tombstone survives to disk.
 func (db *DB) doFlush(mw *memWrapper) ([]*manifest.FileMeta, error) {
-	// Wait out in-flight commit-group inserts: a buffer can be rotated
-	// into the immutable queue while members of a claimed group are
-	// still applying to it. Flushing before they land would write an
-	// incomplete run and delete the WAL segment that still protects
-	// those batches.
+	// Wait out commit-group members until they publish: a buffer can
+	// be rotated into the immutable queue while members of a claimed
+	// group are still applying to it or have yet to publish. Flushing
+	// before they land would write an incomplete run and delete the WAL
+	// segment that still protects those batches; flushing before they
+	// publish would put an entry above visibleSeq into a table, where a
+	// compaction could let it shadow the version readers still see
+	// (DESIGN §2a).
 	mw.writers.Wait()
 	rangeDels := mw.rangeTombstones()
 	it := mw.mt.NewIterator()

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"lsmlab/internal/bloom"
+	"lsmlab/internal/kv"
 )
 
 func TestKeyFilterNoFalseNegatives(t *testing.T) {
@@ -189,5 +190,10 @@ func TestRangeTombstonesCopyOnWrite(t *testing.T) {
 	t.Logf("%d gets and scans overlapped %d range deletes", reads.Load(), n)
 	if got := len(mw.rangeTombstones()); got != n {
 		t.Fatalf("%d tombstones published, want %d (the buffer must not have rotated)", got, n)
+	}
+	for _, rt := range mw.rangeTombstones() {
+		if rt.Seq == 0 || rt.Seq > kv.SeqNum(db.visibleSeq.Load()) {
+			t.Fatalf("tombstone seq %d outside the published range", rt.Seq)
+		}
 	}
 }

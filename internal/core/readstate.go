@@ -156,6 +156,8 @@ func (rs *readState) reader(num uint64) (*sstable.Reader, error) {
 	if db.bcache != nil {
 		bc = db.bcache
 	}
+	// A table is read until its last pin lets go: worth a mapping.
+	f = vfs.Mapped(f)
 	r, err := sstable.Open(f, sstable.ReaderOptions{FileNum: num, Cache: bc, Stats: &db.m})
 	if err != nil {
 		f.Close()

@@ -196,8 +196,28 @@ func TestIteratorPinsObsoleteTables(t *testing.T) {
 // compactions — every version they pin is obsolete almost at once — and
 // checks each result against per-key bounds kept by the writer.
 func TestReadersAgainstInstallStorm(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	db, _ := testDB(t, func(o *Options) { o.BufferBytes = 2 << 10; o.Workers = 2 })
+	readersAgainstInstallStorm(t, db)
+}
+
+// TestReadersAgainstInstallStormOSFS runs the storm on a real
+// directory, where each table reader reads through a mapping
+// (vfs.Mapped) that its Close unmaps: a table closed while a pinned read state can
+// still reach it reads os.ErrClosed or faults, and a reader reports it.
+// With no block cache every block read goes to the mapping.
+func TestReadersAgainstInstallStormOSFS(t *testing.T) {
+	dir := t.TempDir()
+	db, _ := testDB(t, func(o *Options) {
+		o.FS, o.Path = vfs.NewOS(), dir
+		o.CacheBytes = 0
+		o.BufferBytes = 2 << 10
+		o.Workers = 2
+	})
+	readersAgainstInstallStorm(t, db)
+}
+
+func readersAgainstInstallStorm(t *testing.T, db *DB) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const keys = 120
 	// lo[k] is the last acknowledged round of key k, hi[k] the last
 	// started one: a read that began after lo and ended before hi were

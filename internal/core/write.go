@@ -244,10 +244,16 @@ func (db *DB) commitOps(userOps, ops []wal.Op, sp *trace.Span) error {
 	if req.err == nil {
 		db.applyToMem(req)
 	}
-	req.mem.writers.Done()
 	tPub := db.spanNow(sp)
 	sp.StageSince("apply", tApply, tPub)
+	if db.beforePublish != nil {
+		db.beforePublish(req.userOps)
+	}
 	db.commit.publish(db, req)
+	// Release the buffer only once its entries are visible: a flush
+	// waits on its writers, so a table never holds an unpublished entry
+	// that a compaction could let shadow the version readers still see.
+	req.mem.writers.Done()
 	now := db.spanNow(sp)
 	sp.StageSince("publish", tPub, now)
 	// Commit wait is everything spent in the pipeline — WAL group

@@ -331,6 +331,21 @@ func (OSFS) Open(name string) (File, error) {
 	return osFile{f}, nil
 }
 
+// Mapped returns f served from a read-only mapping made now, if f is a
+// non-empty OSFS file and the platform maps files
+// (Linux, mmap_linux.go): ReadAt is then a copy from the page cache
+// rather than a pread. Any other file — a MemFS or wrapped file, an
+// empty one, or one the kernel refuses to map — is returned as is.
+// Mapping costs a stat, an mmap and, at Close, a munmap, so it pays
+// only for a file that is read many times while open: the engine maps
+// its table readers and nothing else.
+func Mapped(f File) File {
+	if of, ok := f.(osFile); ok {
+		return openMapped(of.File)
+	}
+	return f
+}
+
 // Remove implements FS.
 func (OSFS) Remove(name string) error { return os.Remove(name) }
 
