@@ -387,13 +387,9 @@ func (db *DB) compactPinned(rs *readState, job *compaction.Job) ([]*manifest.Fil
 	bottom := job.ToLevel == db.opts.NumLevels-1 &&
 		(!job.TargetTiered || job.AllOfTargetLevel)
 
-	db.mu.Lock()
-	bits := db.filterBitsForRun(db.version, job.ToLevel)
-	db.mu.Unlock()
-
 	merge := kv.NewMergingIterator(iters...)
 	ci := newCompactionIter(merge, rangeDels, snapshots, bottom, db)
-	out := db.newOutputSet(bits, true, survivingRangeDels(rangeDels, bottom, snapshots), overall)
+	out := db.newOutputSet(db.filterBitsForRun(job.ToLevel), true, survivingRangeDels(rangeDels, bottom, snapshots), overall)
 	// Keep the FADE clock honest: outputs that still carry tombstones
 	// inherit the inputs' oldest tombstone timestamp — except at the
 	// bottom level, where snapshot-protected leftovers would otherwise
@@ -436,20 +432,13 @@ func (db *DB) compactPinned(rs *readState, job *compaction.Job) ([]*manifest.Fil
 			removed[lvl] = append(removed[lvl], f.Num)
 		}
 	}
-	db.mu.Lock()
-	db.version = db.version.ApplyCompaction(removed, job.ToLevel, metas, job.TargetTiered)
-	err = db.commitLocked()
-	prev := db.publishLocked()
-	db.mu.Unlock()
-	if err != nil {
-		for _, nums := range removed {
-			prev.retain(nums...)
-		}
-	}
-	prev.unpin()
+	prev, err := db.install(func(v *manifest.Version) *manifest.Version {
+		return v.ApplyCompaction(removed, job.ToLevel, metas, job.TargetTiered)
+	}, nil)
 	if err != nil {
 		return metas, nil, err
 	}
+	prev.unpin()
 
 	db.m.Compactions.Add(1)
 	if job.Reason == compaction.ReasonTombstoneAge {

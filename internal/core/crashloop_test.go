@@ -26,7 +26,6 @@ func TestCrashRecoveryLoop(t *testing.T) {
 	opts.BaseLevelBytes = 16 << 10
 	opts.NumLevels = 4
 	opts.SizeRatio = 3
-	opts.Paranoid = true
 
 	r := rand.New(rand.NewSource(2026))
 	model := map[string]string{}

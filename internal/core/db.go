@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -104,18 +103,25 @@ type DB struct {
 	fs   vfs.FS
 	dir  string
 
+	// editMu serializes version edits (install, readstate.go) and
+	// guards store, which Close nils. Lock order: editMu → mu → walMu →
+	// commit.mu/commit.pubMu; nothing waits on cond under editMu.
+	editMu sync.Mutex
+	store  *manifest.Store
+
 	mu   sync.Mutex
 	cond *sync.Cond // broadcast when stalls may clear or work completes
 	// mem, imm, version and closed are the writer-side truth, guarded by
-	// mu. Readers never look at them: each change is frozen into state
-	// (readstate.go) by publishLocked, and readers pin that. mem is nil
-	// once Close has retired it: the store is closing.
+	// mu; version changes only in install, which also holds editMu, so
+	// install reads it under editMu alone. Readers never look at them:
+	// each change is frozen into state (readstate.go) by publishLocked,
+	// and readers pin that. mem is nil once Close has retired it: the
+	// store is closing.
 	mem       *memWrapper
 	imm       []*memWrapper // oldest first
 	version   *manifest.Version
 	state     atomic.Pointer[readState]
-	nextFile  uint64
-	store     *manifest.Store
+	nextFile  atomic.Uint64 // next table or WAL file number
 	walFile   vfs.File
 	wal       *wal.Writer
 	snapshots map[kv.SeqNum]int
@@ -286,11 +292,11 @@ func Open(opts Options) (*DB, error) {
 		for len(db.version.Levels) < opts.NumLevels {
 			db.version.Levels = append(db.version.Levels, &manifest.Level{})
 		}
-		db.nextFile = state.NextFileNum
+		db.nextFile.Store(state.NextFileNum)
 		db.lastSeq.Store(uint64(state.LastSeq))
 	} else {
 		db.version = manifest.NewVersion(opts.NumLevels)
-		db.nextFile = 1
+		db.nextFile.Store(1)
 	}
 
 	if opts.ValueSeparationThreshold > 0 {
@@ -304,7 +310,11 @@ func Open(opts Options) (*DB, error) {
 	// Delete orphaned table files (outputs of a crashed compaction).
 	db.removeOrphans()
 
-	// Replay WAL segments in order, then start a fresh segment.
+	// Replay WAL segments in order, then start a fresh segment. Their
+	// flushes size filters from the published version.
+	db.mu.Lock()
+	db.publishLocked()
+	db.mu.Unlock()
 	if err := db.recoverWALs(); err != nil {
 		return nil, err
 	}
@@ -414,8 +424,7 @@ func (db *DB) recoverWALs() error {
 func (db *DB) newMemtableLocked() error {
 	mw := newMemWrapper(&db.opts)
 	if !db.opts.DisableWAL {
-		num := db.nextFile
-		db.nextFile++
+		num := db.nextFile.Add(1) - 1
 		f, err := db.fs.Create(vfs.Join(db.dir, manifest.WALName(num)))
 		if err != nil {
 			return err
@@ -429,32 +438,6 @@ func (db *DB) newMemtableLocked() error {
 	return nil
 }
 
-// allocFileNum must be called with db.mu held.
-func (db *DB) allocFileNum() uint64 {
-	n := db.nextFile
-	db.nextFile++
-	return n
-}
-
-// commitLocked persists the current structural state. Callers hold
-// db.mu.
-func (db *DB) commitLocked() error {
-	st := &manifest.State{
-		Version:     db.version,
-		NextFileNum: db.nextFile,
-		LastSeq:     kv.SeqNum(db.lastSeq.Load()),
-	}
-	if err := db.store.Commit(st); err != nil {
-		return err
-	}
-	if db.opts.Paranoid {
-		if err := db.version.Check(); err != nil {
-			return fmt.Errorf("lsm: version invariant violated: %w", err)
-		}
-	}
-	return nil
-}
-
 // filterBitsForRun computes the bits-per-key for a new run landing at
 // level, holding approximately newEntries entries.
 //
@@ -464,15 +447,16 @@ func (db *DB) commitLocked() error {
 // filters from the design (T, layout, buffer size). This keeps the
 // per-level assignment stable across flushes and the total spend within
 // budget once the tree fills.
-func (db *DB) filterBitsForRun(v *manifest.Version, level int) float64 {
+func (db *DB) filterBitsForRun(level int) float64 {
 	switch db.opts.FilterMode {
 	case FilterNone:
 		return 0
 	case FilterUniform:
 		return db.opts.BitsPerKey
 	}
-	// Average entry size from the live tree (fallback for an empty one).
-	avg := int64(80)
+	// Average entry size from the published tree (fallback for an empty
+	// one).
+	v, avg := db.state.Load().version, int64(80)
 	if files, bytes := int64(v.TotalFiles()), int64(v.TotalSize()); files > 0 && bytes > 0 {
 		var entries int64
 		for _, l := range v.Levels {
@@ -492,7 +476,7 @@ func (db *DB) filterBitsForRun(v *manifest.Version, level int) float64 {
 	runIdxForLevel := make([]int, db.opts.NumLevels)
 	for lvl := 0; lvl < db.opts.NumLevels; lvl++ {
 		runIdxForLevel[lvl] = len(counts)
-		runCap := db.opts.Layout.RunCapacity(lvl, db.opts.NumLevels)
+		runCap := popts.Layout.RunCapacity(lvl, db.opts.NumLevels)
 		var perRun int64
 		if lvl == 0 {
 			perRun = int64(db.opts.BufferBytes) / avg
@@ -744,6 +728,15 @@ func (db *DB) Close() error {
 	db.mu.Unlock()
 	db.bg.Wait()
 
+	// The final commit records the sequence and file-number cursors;
+	// with the store closed, install refuses.
+	prev, commitErr := db.install(func(v *manifest.Version) *manifest.Version { return v }, nil)
+	prev.unpin()
+	db.editMu.Lock()
+	storeErr := db.store.Close()
+	db.store = nil
+	db.editMu.Unlock()
+
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	var firstErr error
@@ -755,8 +748,8 @@ func (db *DB) Close() error {
 	keep(rotErr)
 	keep(db.degradedErrLocked())
 	keep(db.bgErr)
-	keep(db.commitLocked())
-	keep(db.store.Close())
+	keep(commitErr)
+	keep(storeErr)
 	if db.walFile != nil { // a failed rotation left it open; Open replays it
 		keep(db.walFile.Close())
 	}

@@ -25,7 +25,6 @@ func testDB(t *testing.T, mutate func(*Options)) (*DB, vfs.FS) {
 	opts.BaseLevelBytes = 32 << 10
 	opts.NumLevels = 4
 	opts.SizeRatio = 4
-	opts.Paranoid = true
 	if mutate != nil {
 		mutate(&opts)
 	}

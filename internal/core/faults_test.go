@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"lsmlab/internal/manifest"
 	"lsmlab/internal/vfs"
 	"lsmlab/internal/vfs/faultfs"
 )
@@ -159,4 +160,80 @@ func TestManifestFailureSurfaces(t *testing.T) {
 	if flushErr == nil && closeErr == nil {
 		t.Fatal("some structural write should have failed")
 	}
+}
+
+// TestFailedFlushCommitLeavesOneRun fails the manifest sync of one
+// flush. Its retry installs the buffer once: a flush that published its
+// run before its commit succeeded left the first attempt's run in the
+// version, and the retry added a second run holding the same entries.
+func TestFailedFlushCommitLeavesOneRun(t *testing.T) {
+	ffs := faultfs.New(vfs.NewMem(), 1)
+	db, _ := testDB(t, func(o *Options) { o.FS = ffs })
+	for i := 0; i < 100; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ffs.AddRule(faultfs.Rule{Classes: faultfs.ClassManifest, Ops: faultfs.OpSync, Countdown: 1})
+	db.Flush() // reports the failed attempt; the retry succeeds
+	db.WaitIdle()
+	if runs := db.Version().Levels[0].Runs; len(runs) != 1 {
+		t.Fatalf("level 0 holds %d runs after one retried flush, want 1: %v", len(runs), db.Version().Levels[0])
+	}
+	if n := db.Metrics().BgRetries; n != 1 {
+		t.Fatalf("BgRetries = %d, want 1", n)
+	}
+}
+
+// TestInstallRefusesOverlappingRun hands install an edit whose run holds
+// two overlapping files: the check runs before the commit, so neither
+// the published version nor the manifest a reopen reads changes.
+func TestInstallRefusesOverlappingRun(t *testing.T) {
+	fs := vfs.NewMem()
+	opts := DefaultOptions(fs, "db")
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	before := db.Version()
+	f := before.Levels[0].Runs[0].Files[0]
+	_, err = db.install(func(v *manifest.Version) *manifest.Version {
+		return v.PushRun(1, &manifest.Run{Files: []*manifest.FileMeta{f, f}})
+	}, nil)
+	if err == nil {
+		t.Fatal("install committed a run whose files overlap")
+	}
+	if db.Version() != before {
+		t.Fatal("a refused install changed the published version")
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if got, want := runsOf(db.Version()), runsOf(before); got != want {
+		t.Fatalf("reopened manifest holds\n%swant\n%s", got, want)
+	}
+}
+
+// runsOf renders a version's runs, one line each.
+func runsOf(v *manifest.Version) string {
+	s := ""
+	for li, l := range v.Levels {
+		for _, r := range l.Runs {
+			s += fmt.Sprintf("L%d %v\n", li, r.Files)
+		}
+	}
+	return s
 }

@@ -75,9 +75,7 @@ func upperBoundExclusive(k []byte) []byte {
 }
 
 func (o *outputSet) openFile() error {
-	o.db.mu.Lock()
-	num := o.db.allocFileNum()
-	o.db.mu.Unlock()
+	num := o.db.nextFile.Add(1) - 1
 	f, err := o.db.fs.Create(vfs.Join(o.db.dir, manifest.FileName(num)))
 	if err != nil {
 		return err
@@ -296,11 +294,7 @@ func (db *DB) doFlush(mw *memWrapper) ([]*manifest.FileMeta, error) {
 		overall.Extend(rt.End)
 	}
 
-	db.mu.Lock()
-	bits := db.filterBitsForRun(db.version, 0)
-	db.mu.Unlock()
-
-	out := db.newOutputSet(bits, false, rangeDels, overall)
+	out := db.newOutputSet(db.filterBitsForRun(0), false, rangeDels, overall)
 	for ok := it.First(); ok; ok = it.Next() {
 		if err := out.add(it.Key(), it.Value()); err != nil {
 			out.abort()
@@ -316,9 +310,9 @@ func (db *DB) doFlush(mw *memWrapper) ([]*manifest.FileMeta, error) {
 	// Install in queue order: flushes may build concurrently, but the
 	// level-0 run stack must reflect buffer recency, so a flush waits
 	// until its buffer is the oldest still queued. (Recovery flushes are
-	// not queued and install immediately.)
+	// not queued and install immediately.) Only this flush pops its
+	// buffer, so the order holds once db.mu is dropped for the install.
 	db.mu.Lock()
-	defer db.mu.Unlock()
 	for {
 		queued := false
 		for _, x := range db.imm {
@@ -332,26 +326,37 @@ func (db *DB) doFlush(mw *memWrapper) ([]*manifest.FileMeta, error) {
 		}
 		db.cond.Wait()
 	}
-	if len(metas) > 0 {
-		db.version = db.version.PushRun(0, &manifest.Run{Files: metas})
-		if err = db.commitLocked(); err == nil {
-			db.m.Flushes.Add(1)
-			db.m.FlushBytes.Add(int64(totalBytes(metas)))
-			if db.prof != nil {
-				db.prof.recordWrite(0, "flush", int64(totalBytes(metas)))
-			}
-		}
-	}
-	if err == nil && len(db.imm) > 0 && db.imm[0] == mw {
-		db.imm = db.imm[1:]
-		if mw.walNum != 0 {
-			db.fs.Remove(vfs.Join(db.dir, manifest.WALName(mw.walNum)))
-		}
-	}
+	db.mu.Unlock()
 	// One publish covers the run's arrival and the buffer's departure: a
 	// reader finds the data in one or the other, never in neither. A flush
 	// only adds files, so releasing the predecessor deletes nothing.
-	db.publishLocked().unpin()
-	db.cond.Broadcast()
-	return metas, err
+	popped := false
+	pop := func() {
+		if len(db.imm) > 0 && db.imm[0] == mw {
+			db.imm, popped = db.imm[1:], true
+		}
+	}
+	var prev *readState
+	if len(metas) == 0 {
+		db.mu.Lock()
+		pop()
+		prev = db.publishLocked()
+		db.mu.Unlock()
+	} else if prev, err = db.install(func(v *manifest.Version) *manifest.Version {
+		return v.PushRun(0, &manifest.Run{Files: metas})
+	}, pop); err != nil {
+		return metas, err
+	}
+	prev.unpin()
+	if popped && mw.walNum != 0 {
+		db.fs.Remove(vfs.Join(db.dir, manifest.WALName(mw.walNum)))
+	}
+	if len(metas) > 0 {
+		db.m.Flushes.Add(1)
+		db.m.FlushBytes.Add(int64(totalBytes(metas)))
+		if db.prof != nil {
+			db.prof.recordWrite(0, "flush", int64(totalBytes(metas)))
+		}
+	}
+	return metas, nil
 }

@@ -25,7 +25,6 @@ func TestLifecycleMatrix(t *testing.T) {
 				opts.NumLevels = 4
 				opts.SizeRatio = 4
 				opts.Layout = layout
-				opts.Paranoid = true
 				if wisc {
 					opts.ValueSeparationThreshold = 100
 				}

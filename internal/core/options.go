@@ -184,10 +184,6 @@ type Options struct {
 	// degrade immediately. Default 5; negative degrades on the first
 	// failure.
 	MaxBackgroundRetries int
-
-	// Paranoid re-validates version invariants after every structural
-	// change.
-	Paranoid bool
 }
 
 // DefaultOptions returns a production-shaped configuration: RocksDB-like

@@ -20,7 +20,6 @@ func TestRangeTombstoneClippedAcrossSplitOutputs(t *testing.T) {
 	opts := DefaultOptions(fs, "db")
 	opts.BufferBytes = 1 << 20 // everything in one memtable
 	opts.TargetFileSize = 2048 // force many output files per flush
-	opts.Paranoid = true       // Version.Check after every change
 	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +89,6 @@ func TestMultipleOverlappingRangeTombstonesAcrossSplits(t *testing.T) {
 	fs := vfs.NewMem()
 	opts := DefaultOptions(fs, "db")
 	opts.TargetFileSize = 2048
-	opts.Paranoid = true
 	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"lsmlab/internal/kv"
 	"lsmlab/internal/manifest"
 	"lsmlab/internal/sstable"
 	"lsmlab/internal/vfs"
@@ -35,6 +36,38 @@ type tableHandle struct {
 	refs atomic.Int32 // states naming the file
 	open sync.Mutex   // serializes the first open
 	r    atomic.Pointer[sstable.Reader]
+}
+
+// install is the one way db.version changes after Open. Under
+// db.editMu it derives the next version with edit, checks it and
+// commits it to the manifest with db.mu released; only after the commit
+// succeeded does it take db.mu to swap db.version, run tail (or nil)
+// and publish, so the published version is always a committed one. A
+// failed install changes nothing in memory: what the edit dropped stays
+// live until a later commit (a full rewrite, manifest.Store) supersedes
+// the failed one, and its outputs, never published, are left for the
+// next Open's orphan sweep. The caller unpins the returned predecessor.
+func (db *DB) install(edit func(*manifest.Version) *manifest.Version, tail func()) (*readState, error) {
+	db.editMu.Lock()
+	defer db.editMu.Unlock()
+	if db.store == nil {
+		return nil, ErrClosed
+	}
+	next := edit(db.version)
+	if err := next.Check(); err != nil {
+		return nil, fmt.Errorf("lsm: version invariant violated: %w", err)
+	}
+	st := &manifest.State{Version: next, NextFileNum: db.nextFile.Load(), LastSeq: kv.SeqNum(db.lastSeq.Load())}
+	if err := db.store.Commit(st); err != nil {
+		return nil, err
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.version = next
+	if tail != nil {
+		tail()
+	}
+	return db.publishLocked(), nil
 }
 
 // publishLocked freezes the engine's current sources (db.mem, db.imm,
@@ -117,18 +150,6 @@ func (rs *readState) unpin() {
 		}
 		if !live[h.num] {
 			rs.db.removeTable(h.num)
-		}
-	}
-}
-
-// retain gives the named tables a reference that is never released. It
-// follows a failed manifest commit: the manifest may or may not hold the
-// version that dropped them, so this handle must never delete them, and
-// the next Open sweeps whichever file set lost.
-func (rs *readState) retain(nums ...uint64) {
-	for _, num := range nums {
-		if h := rs.tables[num]; h != nil {
-			h.refs.Add(1)
 		}
 	}
 }

@@ -116,6 +116,129 @@ func TestReadsNeverTakeDBMu(t *testing.T) {
 	}
 }
 
+// holdSyncFS holds the next Sync of a manifest file once a gate is set:
+// the syncing goroutine reports on held and waits for the gate to close.
+type holdSyncFS struct {
+	vfs.FS
+	held chan struct{}
+	gate atomic.Pointer[chan struct{}]
+}
+
+type holdSyncFile struct {
+	vfs.File
+	fs *holdSyncFS
+}
+
+func (fs *holdSyncFS) Create(name string) (vfs.File, error) { return fs.wrap(name, fs.FS.Create) }
+func (fs *holdSyncFS) Append(name string) (vfs.File, error) { return fs.wrap(name, fs.FS.Append) }
+
+func (fs *holdSyncFS) wrap(name string, open func(string) (vfs.File, error)) (vfs.File, error) {
+	f, err := open(name)
+	if err != nil || !strings.HasPrefix(vfs.Base(name), "MANIFEST") {
+		return f, err
+	}
+	return &holdSyncFile{File: f, fs: fs}, nil
+}
+
+func (f *holdSyncFile) Sync() error {
+	if gate := f.fs.gate.Swap(nil); gate != nil {
+		f.fs.held <- struct{}{}
+		<-*gate
+	}
+	return f.File.Sync()
+}
+
+// TestInstallNeverHoldsDBMuAcrossManifestIO holds the manifest sync of a
+// flush, then of a compaction, then of a scrub quarantine. While each is
+// held, a write, a snapshot, a health probe and a read must all return:
+// an install commits with db.mu released.
+func TestInstallNeverHoldsDBMuAcrossManifestIO(t *testing.T) {
+	ffs := faultfs.New(vfs.NewMem(), 1)
+	fs := &holdSyncFS{FS: ffs, held: make(chan struct{}, 1)}
+	db, _ := testDB(t, func(o *Options) { o.FS = fs })
+	putFlush := func(prefix string) error {
+		for i := 0; i < 50; i++ {
+			if err := db.Put([]byte(fmt.Sprintf("%s%03d", prefix, i)), make([]byte, 50)); err != nil {
+				return err
+			}
+		}
+		return db.Flush()
+	}
+	if err := putFlush("a"); err != nil {
+		t.Fatal(err)
+	}
+	within := func(what string, ch <-chan error) {
+		t.Helper()
+		select {
+		case err := <-ch:
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s did not return within 10s", what)
+		}
+	}
+	for _, phase := range []struct {
+		name, frame string
+		op          func() error
+	}{
+		{"flush", "(*DB).doFlush", func() error { return putFlush("b") }},
+		{"compaction", "(*DB).compactPinned", db.Compact},
+		{"quarantine", "(*DB).quarantineTable", func() error {
+			for num := range db.Version().LiveFileNums() {
+				if err := ffs.FlipBit(vfs.Join("db", manifest.FileName(num)), 8*64+3); err != nil {
+					return err
+				}
+				break
+			}
+			rep, err := db.Scrub()
+			if err == nil && (len(rep.Findings) != 1 || !rep.Findings[0].Quarantined) {
+				err = fmt.Errorf("scrub = %s, want one quarantined finding", rep)
+			}
+			return err
+		}},
+	} {
+		if err := db.Flush(); err != nil { // the last phase's probe put
+			t.Fatal(err)
+		}
+		gate := make(chan struct{})
+		var once sync.Once
+		release := func() { once.Do(func() { close(gate) }) }
+		t.Cleanup(release) // before db.Close, should the test fail while holding
+		fs.gate.Store(&gate)
+		opDone := make(chan error, 1)
+		go func() { opDone <- phase.op() }()
+		select {
+		case <-fs.held:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s reached no manifest sync within 10s", phase.name)
+		}
+		if !goroutineBlockedIn("(*holdSyncFile).Sync", phase.frame) {
+			t.Fatalf("the held manifest sync is not %s's", phase.frame)
+		}
+		probes := make(chan error, 1)
+		go func() {
+			probes <- func() error {
+				key := []byte("during-" + phase.name)
+				if err := db.Put(key, []byte("x")); err != nil {
+					return err
+				}
+				db.NewSnapshot().Release()
+				if h := db.Health(); h.Degraded {
+					return fmt.Errorf("degraded: %+v", h)
+				}
+				if v, err := db.Get(key); err != nil || string(v) != "x" {
+					return fmt.Errorf("get = %q, %v", v, err)
+				}
+				return nil
+			}()
+		}()
+		within("put, snapshot, health and get behind a held "+phase.name+" sync", probes)
+		release()
+		within(phase.name, opDone)
+	}
+}
+
 // TestIteratorPinsObsoleteTables opens an iterator, makes every table it
 // reads obsolete, and checks the files outlive the compactions, the
 // iterator still yields the pre-compaction contents, and its Close

@@ -26,14 +26,12 @@ func (db *DB) SetShape(layout compaction.Layout, sizeRatio int) error {
 	popts := db.picker.Load().Options()
 	if layout != nil {
 		popts.Layout = layout
-		db.opts.Layout = layout
 	}
 	if sizeRatio > 0 {
 		if sizeRatio < 2 {
 			return errors.New("lsm: size ratio must be at least 2")
 		}
 		popts.SizeRatio = sizeRatio
-		db.opts.SizeRatio = sizeRatio
 	}
 	db.picker.Store(compaction.NewPicker(popts))
 	db.cond.Broadcast()

@@ -129,3 +129,42 @@ func TestStrategyDrivesEngine(t *testing.T) {
 		t.Errorf("shape %q", name)
 	}
 }
+
+// TestSetShapeRacesJobs retunes the shape in a loop while flushes and
+// compactions size their Monkey filters from it and pick their work:
+// the picker is the one copy of the shape, so under -race no job reads
+// a field SetShape writes.
+func TestSetShapeRacesJobs(t *testing.T) {
+	db, _ := testDB(t, func(o *Options) {
+		o.FilterMode = FilterMonkey
+		o.BufferBytes = 2 << 10
+		o.Workers = 2
+	})
+	shapes := []compaction.Layout{compaction.Tiering{K: 3}, compaction.Leveling{}, compaction.LazyLeveling{K: 3}}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := db.SetShape(shapes[i%len(shapes)], 3+i%3); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	model := applyRandomWorkload(t, db, 79, 4000, 600)
+	close(stop)
+	<-done
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	db.WaitIdle()
+	verifyAgainstModel(t, db, model, 600)
+	if m := db.Metrics(); m.Flushes == 0 || m.Compactions == 0 {
+		t.Fatalf("flushes=%d compactions=%d: the shape raced no job", m.Flushes, m.Compactions)
+	}
+}

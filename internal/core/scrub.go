@@ -115,9 +115,9 @@ func (db *DB) Scrub() (ScrubReport, error) {
 
 	// Manifest: every complete frame must checksum and decode. Serialize
 	// against commits so a frame is never read half-written.
-	db.mu.Lock()
+	db.editMu.Lock()
 	merr := manifest.Verify(db.fs, vfs.Join(db.dir, "MANIFEST"))
-	db.mu.Unlock()
+	db.editMu.Unlock()
 	rep.ManifestOK = merr == nil
 	if merr != nil {
 		rep.Findings = append(rep.Findings, ScrubFinding{Path: "MANIFEST", Err: merr})
@@ -134,31 +134,25 @@ func (db *DB) Scrub() (ScrubReport, error) {
 // manifest commit) and renames the file aside as <name>.corrupt. Readers
 // that pinned the table before the swap keep reading their open handle;
 // when the last of them unpins, the table's deletion finds no file of
-// that name and the evidence survives. Reports whether the quarantine
-// fully succeeded.
+// that name and the evidence survives. A failed commit renames nothing:
+// the table stays live, as it is in the manifest. Reports whether the
+// quarantine fully succeeded.
 func (db *DB) quarantineTable(fileNum uint64) bool {
-	name := manifest.FileName(fileNum)
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
+	db.m.ScrubCorruptions.Add(1)
+	prev, err := db.install(func(v *manifest.Version) *manifest.Version {
+		// The level key in the removal map is irrelevant: ReplaceRuns
+		// drops the file number wherever it lives.
+		return v.ReplaceRuns(map[int][]uint64{0: {fileNum}}, 0, nil)
+	}, nil)
+	if err != nil {
 		return false
 	}
-	// The level key in the removal map is irrelevant: ReplaceRuns drops
-	// the file number wherever it lives.
-	db.version = db.version.ReplaceRuns(map[int][]uint64{0: {fileNum}}, 0, nil)
-	cerr := db.commitLocked()
-	prev := db.publishLocked()
-	db.mu.Unlock()
-	db.m.ScrubCorruptions.Add(1)
-	if cerr != nil {
-		prev.retain(fileNum)
-	}
-
 	// Rename before releasing the predecessor state, which may be the
 	// table's last reference: the rename keeps the evidence out of the
 	// .sst namespace, so neither that release nor a restart's orphan
 	// sweep deletes it.
-	rerr := db.fs.Rename(vfs.Join(db.dir, name), vfs.Join(db.dir, name+".corrupt"))
+	name := vfs.Join(db.dir, manifest.FileName(fileNum))
+	rerr := db.fs.Rename(name, name+".corrupt")
 	prev.unpin()
-	return cerr == nil && rerr == nil
+	return rerr == nil
 }

@@ -394,7 +394,6 @@ func TestENOSPCMidCompactionDegrades(t *testing.T) {
 	opts.BufferBytes = 4 << 10
 	opts.Workers = 1
 	opts.MaxBackgroundRetries = 1
-	opts.Paranoid = true
 	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -74,7 +74,6 @@ func tortureOnce(t *testing.T, seed int64) {
 	opts.SyncWAL = true // acked ⇒ durable is the property under test
 	opts.MaxBackgroundRetries = 1
 	opts.Workers = 1 + r.Intn(2)
-	opts.Paranoid = true
 
 	db, err := Open(opts)
 	if err != nil {

@@ -315,7 +315,7 @@ func (v *Version) ApplyCompaction(removed map[int][]uint64, targetLevel int, out
 
 // Check validates structural invariants: files within a run sorted and
 // non-overlapping, levels within bounds. It returns the first violation
-// found, or nil. Used by tests and the engine's paranoid mode.
+// found, or nil. The engine runs it on every version before committing it.
 func (v *Version) Check() error {
 	for li, l := range v.Levels {
 		for ri, r := range l.Runs {
