@@ -43,13 +43,31 @@ func (db *DB) Checkpoint(dir string) (err error) {
 		return err
 	}
 	defer rs.unpin()
+	// The copy's LastSeq is the newest sequence its tables hold, not the
+	// allocation cursor: writes that landed after the flush but in no
+	// pinned table are not in the copy, and it must not claim them. A
+	// table's LargestSeq counts point entries only, so its range
+	// tombstones are read too: a write after the restore must sort
+	// above every tombstone the copy holds.
 	v := rs.version
-	seq := db.lastSeq.Load()
 	var nums []uint64
+	var maxNum uint64
+	var seq kv.SeqNum
 	for _, l := range v.Levels {
 		for _, r := range l.Runs {
 			for _, f := range r.Files {
 				nums = append(nums, f.Num)
+				maxNum = max(maxNum, f.Num)
+				seq = max(seq, f.LargestSeq)
+				if f.NumRangeDels > 0 {
+					tr, err := rs.reader(f.Num)
+					if err != nil {
+						return err
+					}
+					for _, t := range tr.RangeTombstones() {
+						seq = max(seq, t.Seq)
+					}
+				}
 			}
 		}
 	}
@@ -85,13 +103,7 @@ func (db *DB) Checkpoint(dir string) (err error) {
 	if err != nil {
 		return err
 	}
-	maxNum := uint64(0)
-	for _, n := range nums {
-		if n > maxNum {
-			maxNum = n
-		}
-	}
-	st := &manifest.State{Version: v, NextFileNum: maxNum + 1, LastSeq: kv.SeqNum(seq)}
+	st := &manifest.State{Version: v, NextFileNum: maxNum + 1, LastSeq: seq}
 	if err := store.Commit(st); err != nil {
 		store.Close()
 		return err
@@ -113,26 +125,11 @@ func copyFile(fs vfs.FS, src, dst string) error {
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, 1<<20)
-	var off int64
-	for off < size {
-		n, err := in.ReadAt(buf, off)
-		if n > 0 {
-			if _, werr := out.Write(buf[:n]); werr != nil {
-				out.Close()
-				return werr
-			}
-			off += int64(n)
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			out.Close()
-			return err
-		}
+	_, err = io.Copy(out, io.NewSectionReader(in, 0, size))
+	if err == nil {
+		err = out.Sync()
 	}
-	if err := out.Sync(); err != nil {
+	if err != nil {
 		out.Close()
 		return err
 	}

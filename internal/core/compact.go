@@ -6,7 +6,6 @@ import (
 	"lsmlab/internal/compaction"
 	"lsmlab/internal/kv"
 	"lsmlab/internal/manifest"
-	"lsmlab/internal/wisckey"
 )
 
 // stripeOf returns the snapshot stripe of a sequence number: the count
@@ -57,9 +56,12 @@ type compactionIter struct {
 	lastStripe int
 	haveKept   bool
 
-	// queue holds extra output entries (unfoldable merge operands) to
-	// drain before consuming more input.
+	// queue holds a merge chain's output (the folded Set, or the
+	// surviving operands and the unfoldable base), drained before more
+	// input is read.
 	queue []kv.Entry
+	chain mergeChain
+	err   error // a merge chain's unreadable base: the job must fail
 
 	key, value []byte
 	valid      bool
@@ -130,10 +132,8 @@ func (ci *compactionIter) next() bool {
 
 		switch kind {
 		case kv.KindMerge:
-			if done := ci.foldMerge(seq, stripe); done {
-				return true
-			}
-			continue
+			ci.foldMerge(stripe)
+			return ci.next() // drains the chain's output, or ends on ci.err
 
 		case kv.KindSingleDelete:
 			// Build the tombstone's key from the stable copy: advancing
@@ -193,123 +193,73 @@ func (ci *compactionIter) next() bool {
 	return false
 }
 
-// foldMerge handles a merge-operand chain starting at the current
-// entry (§2.2.6): same-key, same-stripe operands collect until a base
-// value folds them into a Set, a tombstone folds them onto nil, the
-// stripe or key ends, or input runs out. Folding never crosses a
-// snapshot stripe — readers at intermediate snapshots need the
-// intermediate states. It reports whether an output was produced (true)
-// or the caller should continue the main loop (operands were queued or
-// consumed).
-func (ci *compactionIter) foldMerge(firstSeq kv.SeqNum, stripe int) bool {
+// foldMerge queues the output of the merge-operand chain starting at
+// the current entry (§2.2.6): same-key, same-stripe operands collect
+// until a base value folds them into a Set, a tombstone or a range
+// tombstone in the stripe folds them onto nil, the stripe or key ends,
+// or input runs out. Folding never crosses a snapshot stripe — readers
+// at intermediate snapshots need the intermediate states. A base it
+// cannot read sets ci.err and ends the input instead.
+func (ci *compactionIter) foldMerge(stripe int) {
 	m := &ci.db.m
-	op := ci.db.opts.MergeOperator
-	// Operand chain, newest first, keeping real sequence numbers so
-	// unfolded survivors re-emit at their original positions.
-	type operand struct {
-		seq kv.SeqNum
-		val []byte
+	c := &ci.chain
+	end, err := c.walk(ci.db, ci.src, func(ukey []byte, seq kv.SeqNum) chainEnd {
+		if stripeOf(seq, ci.snapshots) != stripe {
+			return chainOpen
+		}
+		if ci.coveredByRangeDel(ukey, seq) {
+			return chainCovered
+		}
+		return chainNext
+	})
+	if err != nil {
+		ci.err, ci.srcValid = err, false
+		return
 	}
-	chain := []operand{{firstSeq, cp(ci.src.Value())}}
-
-	var base []byte
-	var baseSeq kv.SeqNum
-	haveBase := false
-	baseIsDelete := false
-	for {
-		ci.srcValid = ci.src.Next()
-		if !ci.srcValid {
-			break
-		}
-		nuk, nseq, nkind, _ := kv.ParseKey(ci.src.Key())
-		if kv.CompareUser(nuk, ci.curUK) != 0 || stripeOf(nseq, ci.snapshots) != stripe {
-			break
-		}
-		if ci.coveredByRangeDel(nuk, nseq) {
-			// Older history is range-deleted within this stripe: the
-			// chain folds onto nil, and the covered entry drops.
-			baseIsDelete, haveBase = true, true
+	ci.srcValid = ci.src.Valid()
+	if end != chainOpen {
+		// The entry that ended the chain is consumed with it.
+		if end == chainCovered {
 			m.EntriesDropped.Add(1)
-			ci.srcValid = ci.src.Next()
-			break
-		}
-		if nkind == kv.KindMerge {
-			chain = append(chain, operand{nseq, cp(ci.src.Value())})
-			continue
-		}
-		switch nkind {
-		case kv.KindSet:
-			base, baseSeq, haveBase = cp(ci.src.Value()), nseq, true
-		case kv.KindValuePointer:
-			p, err := wisckey.DecodePointer(ci.src.Value())
-			if err == nil {
-				if v, verr := ci.db.vlog.Read(p); verr == nil {
-					base, baseSeq, haveBase = v, nseq, true
-				}
-			}
-		default: // point tombstones: fold onto nil
-			baseIsDelete, haveBase = true, true
+		} else if end == chainDeleted {
 			m.TombstonesDropped.Add(1)
 		}
 		ci.srcValid = ci.src.Next()
-		break
 	}
 
 	// Fold when a base (or definitive absence at the tree bottom) is in
-	// hand and an operator exists.
-	if op != nil && (haveBase || (ci.bottom && stripe == 0)) {
-		operands := make([][]byte, 0, len(chain))
-		for i := len(chain) - 1; i >= 0; i-- {
-			operands = append(operands, chain[i].val)
-		}
-		var b []byte
-		if !baseIsDelete {
-			b = base
-		}
-		v, err := op.FullMerge(ci.curUK, b, operands)
-		if err == nil {
-			m.EntriesDropped.Add(int64(len(operands))) // operands consumed
-			ci.emit(kv.MakeKey(ci.curUK, firstSeq, kv.KindSet), v, stripe)
-			return true
+	// hand and the operator succeeds.
+	if end != chainOpen || (ci.bottom && stripe == 0) {
+		if v, err := c.fold(ci.db.opts.MergeOperator); err == nil {
+			m.EntriesDropped.Add(int64(len(c.vals))) // operands consumed
+			ci.queue = append(ci.queue, kv.Entry{Key: kv.MakeKey(ci.curUK, c.seqs[0], kv.KindSet), Value: v})
+			return
 		}
 	}
 
 	// Cannot fold: re-emit the survivors. Adjacent operands partial-
 	// merge when the operator allows, keeping the newer one's seq.
-	if op != nil {
-		for i := 0; i+1 < len(chain); {
-			if combined, ok := op.PartialMerge(ci.curUK, chain[i+1].val, chain[i].val); ok {
-				chain[i].val = combined
-				chain = append(chain[:i+1], chain[i+2:]...)
+	vals, seqs := c.vals, c.seqs
+	if op := ci.db.opts.MergeOperator; op != nil {
+		for i := 0; i+1 < len(vals); {
+			if combined, ok := op.PartialMerge(ci.curUK, vals[i+1], vals[i]); ok {
+				vals[i] = combined
+				vals = append(vals[:i+1], vals[i+2:]...)
+				seqs = append(seqs[:i+1], seqs[i+2:]...)
 				m.EntriesDropped.Add(1)
 			} else {
 				i++
 			}
 		}
 	}
-	for _, o := range chain {
-		ci.queue = append(ci.queue, kv.Entry{
-			Key:   kv.MakeKey(ci.curUK, o.seq, kv.KindMerge),
-			Value: o.val,
-		})
+	for i, v := range vals {
+		ci.queue = append(ci.queue, kv.Entry{Key: kv.MakeKey(ci.curUK, seqs[i], kv.KindMerge), Value: v})
 	}
 	// An unfoldable base (no operator, or the operator failed) survives
 	// at its own position.
-	if haveBase && !baseIsDelete {
-		ci.queue = append(ci.queue, kv.Entry{
-			Key:   kv.MakeKey(ci.curUK, baseSeq, kv.KindSet),
-			Value: base,
-		})
+	if end == chainBase {
+		ci.queue = append(ci.queue, kv.Entry{Key: kv.MakeKey(ci.curUK, c.baseSeq, kv.KindSet), Value: c.base})
 	}
-	ci.haveKept = true
-	ci.lastStripe = stripe
-	if len(ci.queue) > 0 {
-		e := ci.queue[0]
-		ci.queue = ci.queue[1:]
-		ci.emit(e.Key, e.Value, stripe)
-		return true
-	}
-	return false
 }
 
 func (ci *compactionIter) emit(ikey, value []byte, stripe int) {
@@ -414,8 +364,14 @@ func (db *DB) compactPinned(rs *readState, job *compaction.Job) ([]*manifest.Fil
 	// A corrupt input block makes its source look exhausted rather than
 	// failed; installing the output here would silently drop every entry
 	// after the bad block and delete the only copy. Surface it instead —
-	// the background-failure path degrades the store on corruption.
-	if err := merge.Error(); err != nil {
+	// the background-failure path degrades the store on corruption. A
+	// merge chain whose base could not be read stopped the loop the
+	// same way.
+	err := ci.err
+	if err == nil {
+		err = merge.Error()
+	}
+	if err != nil {
 		out.abort()
 		return nil, nil, err
 	}

@@ -53,6 +53,7 @@ type iterStack struct {
 	// metrics alone.
 	sinks []readSink
 
+	chain mergeChain // reused by every merged key the iterator folds
 	key   []byte
 	value []byte
 }
@@ -64,11 +65,18 @@ func (db *DB) NewIterator(opts IterOptions) (*Iterator, error) {
 		return nil, err
 	}
 	db.m.Scans.Add(1)
+	return db.newIterator(rs, opts, db.readSeq(opts.snapshot))
+}
+
+// newIterator builds an iterator over the pinned state rs at visibility
+// bound seq. It takes over the caller's reference on rs: Close, or a
+// failed build, drops it.
+func (db *DB) newIterator(rs *readState, opts IterOptions, seq kv.SeqNum) (*Iterator, error) {
 	s, _ := db.iterStacks.Get().(*iterStack)
 	if s == nil {
 		s = new(iterStack)
 	}
-	it := &Iterator{db: db, rs: rs, s: s, opts: opts, seq: db.readSeq(opts.snapshot)}
+	it := &Iterator{db: db, rs: rs, s: s, opts: opts, seq: seq}
 
 	for _, mw := range rs.mems {
 		s.sources = append(s.sources, mw.mt.NewIterator())
@@ -156,7 +164,7 @@ func (it *Iterator) settle(srcValid bool) bool {
 			// Fold the key's operand chain from the iterator's own
 			// pinned sources (§2.2.6); the key is live even over a
 			// tombstone (FullMerge with a nil base).
-			return it.resolveMergeInline(ukey)
+			return it.resolveMergeInline()
 		}
 		live := (kind == kv.KindSet || kind == kv.KindValuePointer) && !it.covered(ukey, seq)
 		if live {
@@ -233,64 +241,30 @@ func (it *Iterator) SeekGE(ukey []byte) bool {
 }
 
 // resolveMergeInline is called with the merged stream positioned on the
-// newest visible merge operand of ukey. It collects the operand chain
-// down to the base value and yields the folded result. The stream is
-// left either on an older same-key version (srcPastKey false) or on the
-// next key already (srcPastKey true).
-func (it *Iterator) resolveMergeInline(ukey []byte) bool {
-	if it.db.opts.MergeOperator == nil {
-		it.err = ErrNoMergeOperator
-		it.valid = false
-		return false
+// newest visible merge operand of a key. It folds the key's chain,
+// which a read ends only at a covering range tombstone (every older
+// version of a visible one is visible too), and yields the result. The
+// stream is left either on an older same-key version (srcPastKey false)
+// or on the next key already (srcPastKey true).
+func (it *Iterator) resolveMergeInline() bool {
+	c := &it.s.chain
+	end, err := c.walk(it.db, &it.s.merge, func(ukey []byte, seq kv.SeqNum) chainEnd {
+		if it.covered(ukey, seq) {
+			return chainCovered
+		}
+		return chainNext
+	})
+	var v []byte
+	if err == nil {
+		v, err = c.fold(it.db.opts.MergeOperator)
 	}
-	it.s.key = append(it.s.key[:0], ukey...)
-	newestFirst := [][]byte{cp(it.s.merge.Value())}
-	var base []byte
-	it.srcPastKey = true // assume exhaustion; corrected on base/tombstone
-	for it.s.merge.Next() {
-		uk, seq, kind, _ := kv.ParseKey(it.s.merge.Key())
-		if kv.CompareUser(uk, it.s.key) != 0 {
-			break // stream now on the next key
-		}
-		if !kv.Visible(seq, it.seq) {
-			continue
-		}
-		if it.covered(it.s.key, seq) {
-			it.srcPastKey = false // still on this key; Next will skip it
-			break
-		}
-		if kind == kv.KindMerge {
-			newestFirst = append(newestFirst, cp(it.s.merge.Value()))
-			continue
-		}
-		it.srcPastKey = false
-		if kind == kv.KindSet {
-			base = cp(it.s.merge.Value())
-		} else if kind == kv.KindValuePointer {
-			p, err := wisckey.DecodePointer(it.s.merge.Value())
-			if err != nil {
-				it.err = err
-				it.valid = false
-				return false
-			}
-			if base, err = it.db.vlog.Read(p); err != nil {
-				it.err = err
-				it.valid = false
-				return false
-			}
-		}
-		break // tombstones leave base nil
-	}
-	operands := make([][]byte, 0, len(newestFirst))
-	for i := len(newestFirst) - 1; i >= 0; i-- {
-		operands = append(operands, newestFirst[i])
-	}
-	v, err := it.db.opts.MergeOperator.FullMerge(it.s.key, base, operands)
 	if err != nil {
 		it.err = err
 		it.valid = false
 		return false
 	}
+	it.srcPastKey = end == chainOpen
+	it.s.key = append(it.s.key[:0], c.key...)
 	it.s.value = append(it.s.value[:0], v...)
 	it.valid = true
 	return true

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 
@@ -44,97 +45,107 @@ func (b *Batch) Merge(key, operand []byte) {
 	b.ops = append(b.ops, wal.Op{Kind: kv.KindMerge, Key: cp(key), Value: cp(operand)})
 }
 
-// resolveMergeSlow computes the merged value of key at snapshot snap,
-// starting from the already-found newest operand. It walks every
-// version of the key across all sources, collecting operands until a
-// base value (Set), a tombstone, or the end of the key's history.
-func (db *DB) resolveMergeSlow(rs *readState, key []byte, snap kv.SeqNum) ([]byte, error) {
-	// Build a merged internal iterator over all sources, like
-	// NewIterator but without user-facing settling.
-	var sources []kv.Iterator
-	var rangeDels []kv.RangeTombstone
-	for _, mw := range rs.mems {
-		sources = append(sources, mw.mt.NewIterator())
-		rangeDels = append(rangeDels, mw.rangeTombstones()...)
-	}
-	for _, level := range rs.version.Levels {
-		for _, run := range level.Runs {
-			f := run.FindFile(key)
-			if f == nil {
-				continue
-			}
-			r, err := rs.reader(f.Num)
-			if err != nil {
-				return nil, err
-			}
-			sources = append(sources, r.NewIterator())
-			rangeDels = append(rangeDels, r.RangeTombstones()...)
-		}
-	}
-	merge := kv.NewMergingIterator(sources...)
-	defer merge.Close()
+// mergeChain is one key's operand chain (§2.2.6) as a merged internal
+// stream yields it: the operand entries newest first and the base
+// value the chain ends on. Reads and compaction both
+// collect a chain with walk and fold it with fold; they differ only in
+// where a chain may end, which the caller's cut decides.
+type mergeChain struct {
+	key      []byte      // stable copy of the user key
+	vals     [][]byte    // copied operand values, newest first
+	seqs     []kv.SeqNum // their sequence numbers
+	base     []byte      // the base value when the chain ended on chainBase
+	baseSeq  kv.SeqNum
+	operands [][]byte // fold's oldest-first view of vals
+}
 
-	covered := func(seq kv.SeqNum) bool {
-		for _, rt := range rangeDels {
-			if rt.Seq <= snap && rt.Seq > seq && rt.Covers(key, seq) {
-				return true
-			}
-		}
-		return false
-	}
+// chainEnd says what ended a chain, or, returned by a cut, that the
+// entry continues it.
+type chainEnd uint8
 
-	// Operands are collected newest-first and reversed for FullMerge.
-	var newestFirst [][]byte
-	var base []byte
-	ok := merge.SeekGE(kv.MakeSearchKey(key, snap))
-	for ; ok; ok = merge.Next() {
-		uk, seq, kind, _ := kv.ParseKey(merge.Key())
-		if kv.CompareUser(uk, key) != 0 {
+const (
+	chainNext    chainEnd = iota // cut only: the entry belongs to the chain
+	chainOpen                    // the key's history (or the caller's stripe) ran out first
+	chainCovered                 // a covering range tombstone: folds onto nil
+	chainDeleted                 // a point tombstone: folds onto nil
+	chainBase                    // a Set or value pointer: base holds its value
+)
+
+// walk collects the chain whose newest operand src rests on, stepping
+// src down the key's older versions. cut sees each older version first
+// and may end the chain there. A value-pointer base is read from the
+// value log. walk leaves src on the entry that ended the chain, or past
+// the key on chainOpen when the history ran out. A failed base read, or
+// a failed source, is returned: a chain is never folded over a base it
+// could not read.
+func (c *mergeChain) walk(db *DB, src *kv.MergingIterator, cut func(ukey []byte, seq kv.SeqNum) chainEnd) (chainEnd, error) {
+	c.key = append(c.key[:0], kv.UserKey(src.Key())...)
+	c.vals = append(c.vals[:0], cp(src.Value()))
+	c.seqs = append(c.seqs[:0], kv.SeqOf(src.Key()))
+	c.base = nil
+	for src.Next() {
+		uk, seq, kind, _ := kv.ParseKey(src.Key())
+		if kv.CompareUser(uk, c.key) != 0 {
 			break
 		}
-		if !kv.Visible(seq, snap) {
-			continue
+		if end := cut(c.key, seq); end != chainNext {
+			return end, src.Error()
 		}
-		if covered(seq) {
-			break // everything older is deleted by a range tombstone
-		}
-		done := false
 		switch kind {
 		case kv.KindMerge:
-			newestFirst = append(newestFirst, cp(merge.Value()))
+			c.vals = append(c.vals, cp(src.Value()))
+			c.seqs = append(c.seqs, seq)
+			continue
 		case kv.KindSet:
-			base = cp(merge.Value())
-			done = true
+			c.base = cp(src.Value())
 		case kv.KindValuePointer:
-			p, err := wisckey.DecodePointer(merge.Value())
-			if err != nil {
-				return nil, err
+			p, err := wisckey.DecodePointer(src.Value())
+			if err == nil {
+				c.base, err = db.vlog.Read(p)
 			}
-			v, err := db.vlog.Read(p)
 			if err != nil {
-				return nil, err
+				return chainOpen, err
 			}
-			base = v
-			done = true
-		default: // tombstones end the history with no base
-			done = true
+		default:
+			return chainDeleted, src.Error()
 		}
-		if done {
-			break
-		}
+		c.baseSeq = seq
+		return chainBase, src.Error()
 	}
-	// A corrupt block ends the walk indistinguishably from a finished
-	// history; folding a truncated operand chain would corrupt the value.
-	if err := merge.Error(); err != nil {
-		return nil, err
+	// A corrupt block ends the stream like a finished history; folding
+	// a truncated chain would corrupt the value.
+	return chainOpen, src.Error()
+}
+
+// fold applies op to the chain: its operands, oldest first, over the
+// base (nil unless the chain ended on chainBase).
+func (c *mergeChain) fold(op MergeOperator) ([]byte, error) {
+	if op == nil {
+		return nil, ErrNoMergeOperator
 	}
-	operands := make([][]byte, 0, len(newestFirst))
-	for i := len(newestFirst) - 1; i >= 0; i-- {
-		operands = append(operands, newestFirst[i])
+	c.operands = c.operands[:0]
+	for i := len(c.vals) - 1; i >= 0; i-- {
+		c.operands = append(c.operands, c.vals[i])
 	}
-	v, err := db.opts.MergeOperator.FullMerge(key, base, operands)
+	v, err := op.FullMerge(c.key, c.base, c.operands)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: merge operator: %w", err)
 	}
 	return v, nil
+}
+
+// getMerged folds the chain of key whose newest operand a Get found at
+// seq: the N=1 case of a scan, a one-key iterator over the state the
+// Get pinned.
+func (db *DB) getMerged(rs *readState, key []byte, seq kv.SeqNum) ([]byte, error) {
+	rs.refs.Add(1) // the iterator's own reference, dropped by its Close
+	it, err := db.newIterator(rs, IterOptions{LowerBound: key, UpperBound: append(cp(key), 0)}, seq)
+	if err != nil {
+		return nil, err
+	}
+	defer it.Close()
+	if !it.First() {
+		return nil, cmp.Or(it.Err(), ErrNotFound)
+	}
+	return cp(it.Value()), nil
 }

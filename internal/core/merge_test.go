@@ -4,8 +4,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"lsmlab/internal/vfs"
+	"math/rand"
+	"sort"
+	"strings"
 	"testing"
+
+	"lsmlab/internal/vfs"
+	"lsmlab/internal/vfs/faultfs"
 )
 
 // counterMerge is an associative int64-add operator.
@@ -283,4 +288,197 @@ func mergeDBOpts(t *testing.T) Options {
 	opts := DefaultOptions(vfs.NewMem(), "db")
 	opts.MergeOperator = counterMerge{}
 	return opts
+}
+
+// appendMerge concatenates operands onto the base in order, so a chain
+// folded in the wrong order reads differently.
+type appendMerge struct{}
+
+func (appendMerge) FullMerge(key, existing []byte, operands [][]byte) ([]byte, error) {
+	out := append([]byte(nil), existing...)
+	for _, op := range operands {
+		out = append(out, op...)
+	}
+	return out, nil
+}
+
+func (appendMerge) PartialMerge(key, older, newer []byte) ([]byte, bool) {
+	return append(append([]byte(nil), older...), newer...), true
+}
+
+// TestMergeFoldKeepsBaseOnVlogReadError: a compaction that cannot read
+// a chain's separated base must fail, not fold the operands onto
+// nothing and drop the base.
+func TestMergeFoldKeepsBaseOnVlogReadError(t *testing.T) {
+	ffs := faultfs.New(vfs.NewMem(), 1)
+	opts := DefaultOptions(ffs, "db")
+	opts.MergeOperator = appendMerge{}
+	opts.ValueSeparationThreshold = 64
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	base := strings.Repeat("B", 200)
+	for _, step := range []func() error{
+		func() error { return db.Put([]byte("k"), []byte(base)) },
+		db.Flush,
+		func() error { return db.Merge([]byte("k"), []byte("+x")) },
+		db.Flush,
+	} {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ffs.AddRule(faultfs.Rule{Classes: faultfs.ClassVLog, Ops: faultfs.OpReadAt, Sticky: true})
+	if err := db.Compact(); err == nil {
+		t.Fatal("compaction folded a chain over a base it could not read")
+	}
+	ffs.ClearRules()
+	if v, err := db.Get([]byte("k")); err != nil || string(v) != base+"+x" {
+		t.Fatalf("after the failed compaction: %q, %v; want the base plus +x", v, err)
+	}
+}
+
+// TestGetWithoutMergeOperator: operands on disk read back through a
+// store opened without an operator fail with ErrNoMergeOperator on
+// every read path.
+func TestGetWithoutMergeOperator(t *testing.T) {
+	opts := mergeDBOpts(t)
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Put([]byte("c"), delta(5))
+	db.Merge([]byte("c"), delta(2))
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	opts.MergeOperator = nil
+	db, err = Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	snap := db.NewSnapshot()
+	defer snap.Release()
+	if _, err := db.Get([]byte("c")); !errors.Is(err, ErrNoMergeOperator) {
+		t.Fatalf("Get: %v", err)
+	}
+	if _, err := snap.Get([]byte("c")); !errors.Is(err, ErrNoMergeOperator) {
+		t.Fatalf("Snapshot.Get: %v", err)
+	}
+	if _, err := db.Scan(nil, nil, 0); !errors.Is(err, ErrNoMergeOperator) {
+		t.Fatalf("Scan: %v", err)
+	}
+}
+
+// TestMergeReadersAgreeWithModel drives an order-sensitive operator
+// with value separation, point and range deletes and snapshots taken
+// mid-history, and checks Get, Snapshot.Get, Scan and Snapshot.Scan
+// against one model before a flush, after it and after a compaction.
+func TestMergeReadersAgreeWithModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	db := mergeDB(t, func(o *Options) {
+		o.MergeOperator = appendMerge{}
+		o.ValueSeparationThreshold = 48
+	})
+	const nkeys = 60
+	key := func(i int) string { return fmt.Sprintf("k%03d", i) }
+	type view struct {
+		snap  *Snapshot // nil: the latest state
+		model map[string]string
+	}
+	views := []view{{model: map[string]string{}}}
+	live := views[0].model
+	defer func() {
+		for _, v := range views[1:] {
+			v.snap.Release()
+		}
+	}()
+
+	check := func(phase string) {
+		t.Helper()
+		for _, v := range views {
+			get, scan := db.Get, db.Scan
+			if v.snap != nil {
+				get, scan = v.snap.Get, v.snap.Scan
+			}
+			for i := 0; i < nkeys; i++ {
+				k := key(i)
+				got, err := get([]byte(k))
+				want, ok := v.model[k]
+				if !ok {
+					if !errors.Is(err, ErrNotFound) {
+						t.Fatalf("%s snap=%v: Get %s = %q, %v; want not found", phase, v.snap != nil, k, got, err)
+					}
+				} else if err != nil || string(got) != want {
+					t.Fatalf("%s snap=%v: Get %s = %q, %v; want %q", phase, v.snap != nil, k, got, err, want)
+				}
+			}
+			kvs, err := scan(nil, nil, 0)
+			if err != nil {
+				t.Fatalf("%s: Scan: %v", phase, err)
+			}
+			var keys []string
+			for k := range v.model {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			if len(kvs) != len(keys) {
+				t.Fatalf("%s snap=%v: Scan returned %d keys, want %d", phase, v.snap != nil, len(kvs), len(keys))
+			}
+			for i, kv := range kvs {
+				if string(kv.Key) != keys[i] || string(kv.Value) != v.model[keys[i]] {
+					t.Fatalf("%s snap=%v: Scan[%d] = %s=%q, want %s=%q", phase, v.snap != nil, i, kv.Key, kv.Value, keys[i], v.model[keys[i]])
+				}
+			}
+		}
+	}
+
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 600; i++ {
+			ki := rng.Intn(nkeys)
+			k := key(ki)
+			var err error
+			switch r := rng.Intn(20); {
+			case r < 3:
+				val := strings.Repeat(string(rune('a'+rng.Intn(26))), 8+rng.Intn(120))
+				err = db.Put([]byte(k), []byte(val))
+				live[k] = val
+			case r == 3:
+				err = db.Delete([]byte(k))
+				delete(live, k)
+			case r == 4:
+				end := ki + 1 + rng.Intn(4)
+				err = db.DeleteRange([]byte(k), []byte(key(end)))
+				for j := ki; j < end; j++ {
+					delete(live, key(j))
+				}
+			default:
+				op := fmt.Sprintf("+%d.%d", round, i)
+				err = db.Merge([]byte(k), []byte(op))
+				live[k] += op
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i%200 == 199 {
+				frozen := make(map[string]string, len(live))
+				for k, v := range live {
+					frozen[k] = v
+				}
+				views = append(views, view{db.NewSnapshot(), frozen})
+			}
+		}
+		check(fmt.Sprintf("round %d before flush", round))
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("round %d after flush", round))
+		if err := db.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("round %d after compaction", round))
+	}
 }

@@ -148,10 +148,10 @@ func (db *DB) getInner(key []byte, snap kv.SeqNum, traceID uint64) ([]byte, erro
 	case kv.KindSet:
 		v = e.Value
 	case kv.KindMerge:
-		// Slow path: walk the key's full visible history to fold the
-		// operands onto their base (§2.2.6).
+		// Slow path: fold the key's operands onto their base (§2.2.6)
+		// through a one-key scan of the same pinned state.
 		t0 = db.spanNow(sp)
-		v, err = db.resolveMergeSlow(rs, key, seq)
+		v, err = db.getMerged(rs, key, seq)
 		sp.StageSince("merge", t0, db.spanNow(sp))
 	case kv.KindValuePointer:
 		var p wisckey.Pointer
@@ -310,17 +310,18 @@ type KV struct {
 // NewIterator and Collect (tutorial §2.1.2 Scan): the keys and values
 // of one call share one backing buffer.
 func (db *DB) Scan(start, end []byte, limit int) ([]KV, error) {
-	return db.scan(start, end, limit, 0)
+	return db.scan(start, end, limit, 0, 0)
 }
 
 // ScanTraced is Scan carrying a wire-propagated trace id: the scan's
 // span adopts the id (0 mints a fresh one) and is always retained in
 // the tracer's ring. Without a tracer it behaves exactly like Scan.
 func (db *DB) ScanTraced(start, end []byte, limit int, traceID uint64) ([]KV, error) {
-	return db.scan(start, end, limit, traceID)
+	return db.scan(start, end, limit, 0, traceID)
 }
 
-func (db *DB) scan(start, end []byte, limit int, traceID uint64) ([]KV, error) {
+// scan is every Scan: the latest state (snap 0) or a snapshot's.
+func (db *DB) scan(start, end []byte, limit int, snap kv.SeqNum, traceID uint64) ([]KV, error) {
 	if db.prof != nil {
 		if h := bloom.Hash64(start); db.prof.tick(h) {
 			db.prof.observe(profScan, h, start)
@@ -328,7 +329,7 @@ func (db *DB) scan(start, end []byte, limit int, traceID uint64) ([]KV, error) {
 	}
 	sp := db.startSpan(trace.OpScan, traceID, start)
 	defer db.tracer.Finish(sp)
-	it, err := db.NewIterator(IterOptions{LowerBound: start, UpperBound: end})
+	it, err := db.NewIterator(IterOptions{LowerBound: start, UpperBound: end, snapshot: snap})
 	if err != nil {
 		sp.SetErr(err)
 		return nil, err

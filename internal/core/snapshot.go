@@ -42,14 +42,12 @@ func (s *Snapshot) NewIterator(opts IterOptions) (*Iterator, error) {
 }
 
 // Scan returns up to limit live entries in [start, end) as of the
-// snapshot.
+// snapshot, counted, traced and profiled like DB.Scan.
 func (s *Snapshot) Scan(start, end []byte, limit int) ([]KV, error) {
-	it, err := s.NewIterator(IterOptions{LowerBound: start, UpperBound: end})
-	if err != nil {
-		return nil, err
+	if s.released {
+		return nil, ErrClosed
 	}
-	defer it.Close()
-	return Collect(it, limit)
+	return s.db.scan(start, end, limit, s.seq, 0)
 }
 
 // Seq exposes the snapshot's sequence number (used by experiments).
