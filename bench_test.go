@@ -230,8 +230,7 @@ func BenchmarkEngineGet(b *testing.B) {
 	}
 	db.Flush()
 	db.WaitIdle()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		if _, err := db.Get(workload.Key(int64(i % n))); err != nil {
 			b.Fatal(err)
 		}
@@ -248,8 +247,7 @@ func BenchmarkEnginePut(b *testing.B) {
 	defer db.Close()
 	val := make([]byte, 100)
 	b.SetBytes(100 + 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		if err := db.Put(workload.Key(int64(i)), val); err != nil {
 			b.Fatal(err)
 		}
@@ -438,7 +436,7 @@ func BenchmarkEngineScan(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
+			for i := 0; b.Loop(); i++ {
 				start := int64(i % (n - 200))
 				kvs, err := db.Scan(workload.Key(start), workload.Key(start+c.width), int(c.limit))
 				if err != nil {
@@ -524,8 +522,6 @@ func BenchmarkAblationWALSync(b *testing.B) {
 	}
 }
 
-var benchSink int
-
 // BenchmarkMergingIterator measures the k-way merge that underlies
 // scans and compactions.
 func BenchmarkMergingIterator(b *testing.B) {
@@ -542,14 +538,13 @@ func BenchmarkMergingIterator(b *testing.B) {
 				iters = append(iters, kv.NewSliceIterator(es))
 			}
 			m := kv.NewMergingIterator(iters...)
-			b.ResetTimer()
 			count := 0
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				if count == 0 {
 					m.First()
 				}
 				if m.Valid() {
-					benchSink += len(m.Key())
+					m.Key()
 					m.Next()
 					count++
 				} else {

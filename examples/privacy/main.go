@@ -61,13 +61,8 @@ func main() {
 		}
 
 		// Count tombstones still on disk.
-		v := db.Version()
-		for _, l := range v.Levels {
-			for _, r := range l.Runs {
-				for _, f := range r.Files {
-					left += f.NumTombstones
-				}
-			}
+		for _, f := range db.Version().Files() {
+			left += f.NumTombstones
 		}
 		return left
 	}

@@ -404,14 +404,10 @@ func (p *Picker) ManualJob(v *manifest.Version) *Job {
 		Inputs:    map[int][]*manifest.FileMeta{},
 		Reason:    ReasonManual,
 	}
-	n := 0
-	for level, l := range v.Levels {
-		for _, r := range l.Runs {
-			job.Inputs[level] = append(job.Inputs[level], r.Files...)
-			n += len(r.Files)
-		}
+	for level, f := range v.Files() {
+		job.Inputs[level] = append(job.Inputs[level], f)
 	}
-	if n == 0 {
+	if len(job.Inputs) == 0 {
 		return nil
 	}
 	job.TargetTiered = p.opts.Layout.RunCapacity(job.ToLevel, p.opts.NumLevels) > 1

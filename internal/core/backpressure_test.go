@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -29,7 +30,7 @@ type gateFS struct {
 }
 
 func (f gateFS) Create(name string) (vfs.File, error) {
-	if vfs.HasSuffix(name, ".sst") {
+	if strings.HasSuffix(name, ".sst") {
 		<-f.gate
 	}
 	return f.FS.Create(name)

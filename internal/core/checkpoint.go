@@ -46,28 +46,25 @@ func (db *DB) Checkpoint(dir string) (err error) {
 	// The copy's LastSeq is the newest sequence its tables hold, not the
 	// allocation cursor: writes that landed after the flush but in no
 	// pinned table are not in the copy, and it must not claim them. A
-	// table's LargestSeq counts point entries only, so its range
-	// tombstones are read too: a write after the restore must sort
-	// above every tombstone the copy holds.
+	// write after the restore must sort above every tombstone the copy
+	// holds, so range tombstones are read too: the writer counts them
+	// in LargestSeq, but a table written before it did records the
+	// sequences of its point entries only.
 	v := rs.version
 	var nums []uint64
 	var maxNum uint64
 	var seq kv.SeqNum
-	for _, l := range v.Levels {
-		for _, r := range l.Runs {
-			for _, f := range r.Files {
-				nums = append(nums, f.Num)
-				maxNum = max(maxNum, f.Num)
-				seq = max(seq, f.LargestSeq)
-				if f.NumRangeDels > 0 {
-					tr, err := rs.reader(f.Num)
-					if err != nil {
-						return err
-					}
-					for _, t := range tr.RangeTombstones() {
-						seq = max(seq, t.Seq)
-					}
-				}
+	for _, f := range v.Files() {
+		nums = append(nums, f.Num)
+		maxNum = max(maxNum, f.Num)
+		seq = max(seq, f.LargestSeq)
+		if f.NumRangeDels > 0 {
+			tr, err := rs.reader(f.Num)
+			if err != nil {
+				return err
+			}
+			for _, t := range tr.RangeTombstones() {
+				seq = max(seq, t.Seq)
 			}
 		}
 	}
@@ -86,15 +83,14 @@ func (db *DB) Checkpoint(dir string) (err error) {
 	}
 	// Value-log segments, when separation is on.
 	if db.vlog != nil {
-		names, err := db.fs.List(db.dir)
+		nums, err := manifest.ListNums(db.fs, db.dir, manifest.VLogExt)
 		if err != nil {
 			return err
 		}
-		for _, name := range names {
-			if vfs.HasSuffix(name, ".vlog") {
-				if err := copyFile(db.fs, vfs.Join(db.dir, name), vfs.Join(dir, name)); err != nil {
-					return err
-				}
+		for _, num := range nums {
+			name := manifest.VLogName(num)
+			if err := copyFile(db.fs, vfs.Join(db.dir, name), vfs.Join(dir, name)); err != nil {
+				return err
 			}
 		}
 	}

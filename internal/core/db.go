@@ -2,9 +2,6 @@ package core
 
 import (
 	"errors"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -350,40 +347,24 @@ func Open(opts Options) (*DB, error) {
 // version.
 func (db *DB) removeOrphans() {
 	live := db.version.LiveFileNums()
-	names, err := db.fs.List(db.dir)
+	nums, err := manifest.ListNums(db.fs, db.dir, manifest.TableExt)
 	if err != nil {
 		return
 	}
-	for _, name := range names {
-		if !strings.HasSuffix(name, ".sst") {
-			continue
+	for _, num := range nums {
+		if !live[num] {
+			db.removeTable(num)
 		}
-		num, err := strconv.ParseUint(strings.TrimSuffix(name, ".sst"), 10, 64)
-		if err != nil || live[num] {
-			continue
-		}
-		db.removeTable(num)
 	}
 }
 
 // recoverWALs replays every WAL segment into memtables and flushes them
 // synchronously, so recovery leaves no volatile state.
 func (db *DB) recoverWALs() error {
-	names, err := db.fs.List(db.dir)
+	nums, err := manifest.ListNums(db.fs, db.dir, manifest.WALExt)
 	if err != nil {
 		return err
 	}
-	var nums []uint64
-	for _, name := range names {
-		if !strings.HasSuffix(name, ".wal") {
-			continue
-		}
-		num, err := strconv.ParseUint(strings.TrimSuffix(name, ".wal"), 10, 64)
-		if err == nil {
-			nums = append(nums, num)
-		}
-	}
-	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
 	for _, num := range nums {
 		f, err := db.fs.Open(vfs.Join(db.dir, manifest.WALName(num)))
 		if err != nil {

@@ -200,7 +200,7 @@ type slowSSTFS struct {
 
 func (f slowSSTFS) Create(name string) (vfs.File, error) {
 	file, err := f.FS.Create(name)
-	if err != nil || !vfs.HasSuffix(name, ".sst") {
+	if err != nil || !strings.HasSuffix(name, ".sst") {
 		return file, err
 	}
 	return slowFile{File: file, delay: f.delay}, nil

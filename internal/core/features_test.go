@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -333,7 +334,7 @@ type gatedFS struct {
 }
 
 func (g *gatedFS) Create(name string) (vfs.File, error) {
-	if vfs.HasSuffix(name, ".sst") {
+	if strings.HasSuffix(name, ".sst") {
 		<-g.gate
 	}
 	return g.FS.Create(name)

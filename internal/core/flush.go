@@ -90,8 +90,16 @@ func (o *outputSet) openFile() error {
 	return nil
 }
 
-// add appends one entry, opening and splitting files as needed.
+// add appends one entry, opening and splitting files as needed. A full
+// file closes only where the user key changes: every version of a key
+// stays in one file, so the files of a run never share a key.
 func (o *outputSet) add(ikey, value []byte) error {
+	if o.cur != nil && o.cur.EstimatedSize() >= o.db.opts.TargetFileSize &&
+		kv.CompareUser(kv.UserKey(ikey), o.lastPointKey()) != 0 {
+		if err := o.closeCurrent(false); err != nil {
+			return err
+		}
+	}
 	if o.cur == nil {
 		if err := o.openFile(); err != nil {
 			return err
@@ -100,13 +108,7 @@ func (o *outputSet) add(ikey, value []byte) error {
 	if o.limiter != nil {
 		o.limiter.waitFor(len(ikey) + len(value))
 	}
-	if err := o.cur.Add(ikey, value); err != nil {
-		return err
-	}
-	if o.cur.EstimatedSize() >= o.db.opts.TargetFileSize {
-		return o.closeCurrent(false)
-	}
-	return nil
+	return o.cur.Add(ikey, value)
 }
 
 // closeCurrent finishes the open file, assigning it the range-tombstone

@@ -38,16 +38,13 @@ func (f keyFilter) slot(h uint64) (*atomic.Uint64, uint64) {
 	return &f[h&uint64(len(f)-1)], mask
 }
 
-// add sets the bits of the remixed hash h. go.mod predates
-// atomic.Uint64.Or, hence the CAS loop; a word that already holds the
-// bits is left unwritten.
+// add sets the bits of the remixed hash h. A word that already holds
+// the bits is left unwritten, so re-adding a hot key does not bounce the
+// word's cache line between cores.
 func (f keyFilter) add(h uint64) {
 	w, mask := f.slot(h)
-	for {
-		old := w.Load()
-		if old&mask == mask || w.CompareAndSwap(old, old|mask) {
-			return
-		}
+	if w.Load()&mask != mask {
+		w.Or(mask)
 	}
 }
 

@@ -160,3 +160,34 @@ func TestUpperBoundExclusiveHelper(t *testing.T) {
 		t.Error("bound ordering")
 	}
 }
+
+// TestSplitOutputsKeepAUserKeyInOneFile: a flush keeps every version of
+// a key, and an output file that fills up mid-key must not close until
+// the key changes, or two files of one run would share a user key and
+// the install would fail Version.Check and degrade the store.
+func TestSplitOutputsKeepAUserKeyInOneFile(t *testing.T) {
+	opts := DefaultOptions(vfs.NewMem(), "db")
+	opts.BufferBytes = 1 << 20 // everything in one memtable
+	opts.TargetFileSize = 2048
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	val := bytes.Repeat([]byte("v"), 50)
+	for i := 0; i < 200; i++ {
+		db.Put([]byte(fmt.Sprintf("k%04d", i%4)), append(val, byte(i)))
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if files := db.Version().TotalFiles(); files < 2 {
+		t.Fatalf("want the flush split into several files, got %d", files)
+	}
+	for i := 196; i < 200; i++ {
+		v, err := db.Get([]byte(fmt.Sprintf("k%04d", i%4)))
+		if err != nil || v[len(v)-1] != byte(i) {
+			t.Errorf("k%04d = %q, %v; want the newest version", i%4, v, err)
+		}
+	}
+}

@@ -93,17 +93,13 @@ func (db *DB) publishLocked() *readState {
 			old = prev.tables
 		}
 		next.tables = make(map[uint64]*tableHandle, db.version.TotalFiles())
-		for _, l := range db.version.Levels {
-			for _, run := range l.Runs {
-				for _, f := range run.Files {
-					h := old[f.Num]
-					if h == nil {
-						h = &tableHandle{num: f.Num}
-					}
-					h.refs.Add(1)
-					next.tables[f.Num] = h
-				}
+		for _, f := range db.version.Files() {
+			h := old[f.Num]
+			if h == nil {
+				h = &tableHandle{num: f.Num}
 			}
+			h.refs.Add(1)
+			next.tables[f.Num] = h
 		}
 	}
 	db.state.Store(next)

@@ -73,31 +73,27 @@ func (db *DB) Scrub() (ScrubReport, error) {
 
 	// Live tables. The pinned state keeps every one of them on disk for
 	// the length of the walk, compacted away meanwhile or not.
-	for _, l := range rs.version.Levels {
-		for _, run := range l.Runs {
-			for _, f := range run.Files {
-				name := manifest.FileName(f.Num)
-				r, err := rs.reader(f.Num)
-				if err != nil {
-					// Unopenable: a damaged footer or pinned block (those
-					// are checksum-verified at Open).
-					rep.Tables++
-					db.m.ScrubbedTables.Add(1)
-					q := db.quarantineTable(f.Num)
-					rep.Findings = append(rep.Findings,
-						ScrubFinding{Path: name, Err: err, Quarantined: q})
-					continue
-				}
-				n, verr := r.VerifyChecksums()
-				rep.Tables++
-				rep.TableBytes += n
-				db.m.ScrubbedTables.Add(1)
-				if verr != nil {
-					q := db.quarantineTable(f.Num)
-					rep.Findings = append(rep.Findings,
-						ScrubFinding{Path: name, Err: verr, Quarantined: q})
-				}
-			}
+	for _, f := range rs.version.Files() {
+		name := manifest.FileName(f.Num)
+		r, err := rs.reader(f.Num)
+		if err != nil {
+			// Unopenable: a damaged footer or pinned block (those are
+			// checksum-verified at Open).
+			rep.Tables++
+			db.m.ScrubbedTables.Add(1)
+			q := db.quarantineTable(f.Num)
+			rep.Findings = append(rep.Findings,
+				ScrubFinding{Path: name, Err: err, Quarantined: q})
+			continue
+		}
+		n, verr := r.VerifyChecksums()
+		rep.Tables++
+		rep.TableBytes += n
+		db.m.ScrubbedTables.Add(1)
+		if verr != nil {
+			q := db.quarantineTable(f.Num)
+			rep.Findings = append(rep.Findings,
+				ScrubFinding{Path: name, Err: verr, Quarantined: q})
 		}
 	}
 

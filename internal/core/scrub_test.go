@@ -473,7 +473,7 @@ func TestENOSPCMidCompactionDegrades(t *testing.T) {
 	live := db2.Version().LiveFileNums()
 	names, _ := base.List("db")
 	for _, name := range names {
-		if vfs.HasSuffix(name, ".sst") {
+		if strings.HasSuffix(name, ".sst") {
 			var num uint64
 			fmt.Sscanf(name, "%06d.sst", &num)
 			if !live[num] {

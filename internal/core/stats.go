@@ -327,14 +327,10 @@ func (db *DB) FilterMemoryBytes() int64 {
 	}
 	defer rs.unpin()
 	var total int64
-	for _, l := range rs.version.Levels {
-		for _, r := range l.Runs {
-			for _, f := range r.Files {
-				// A table that cannot be opened has no filter in memory.
-				if rd, err := rs.reader(f.Num); err == nil {
-					total += int64(rd.FilterSizeBytes())
-				}
-			}
+	for _, f := range rs.version.Files() {
+		// A table that cannot be opened has no filter in memory.
+		if rd, err := rs.reader(f.Num); err == nil {
+			total += int64(rd.FilterSizeBytes())
 		}
 	}
 	return total

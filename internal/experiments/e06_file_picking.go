@@ -71,13 +71,8 @@ func E6FilePicking(s Scale) (*Table, error) {
 		m := db.Metrics()
 		// Count surviving tombstones across the tree.
 		var left uint64
-		v := db.Version()
-		for _, l := range v.Levels {
-			for _, r := range l.Runs {
-				for _, f := range r.Files {
-					left += f.NumTombstones
-				}
-			}
+		for _, f := range db.Version().Files() {
+			left += f.NumTombstones
 		}
 		t.AddRow(
 			policy.String(),

@@ -72,16 +72,11 @@ func E11DeletePersistence(s Scale) (*Table, error) {
 		mu.Lock()
 		now := clock
 		mu.Unlock()
-		v := db.Version()
-		for _, l := range v.Levels {
-			for _, r := range l.Runs {
-				for _, f := range r.Files {
-					left += f.NumTombstones
-					if f.OldestTombstoneNs > 0 {
-						if age := (now - f.OldestTombstoneNs) / tickNs; age > oldestAgeOps {
-							oldestAgeOps = age
-						}
-					}
+		for _, f := range db.Version().Files() {
+			left += f.NumTombstones
+			if f.OldestTombstoneNs > 0 {
+				if age := (now - f.OldestTombstoneNs) / tickNs; age > oldestAgeOps {
+					oldestAgeOps = age
 				}
 			}
 		}

@@ -123,16 +123,31 @@ func TestVersionAggregates(t *testing.T) {
 	v := NewVersion(3)
 	v = v.PushRun(0, &Run{Files: []*FileMeta{fm(1, "a", "c", 100)}})
 	v = v.PushRun(1, &Run{Files: []*FileMeta{fm(2, "a", "c", 300), fm(3, "d", "f", 300)}})
-	if v.TotalSize() != 700 || v.TotalFiles() != 3 || v.NumRuns() != 2 {
+	v = v.PushRun(0, &Run{Files: []*FileMeta{fm(4, "b", "e", 100)}})
+	if v.TotalSize() != 800 || v.TotalFiles() != 4 || v.NumRuns() != 3 {
 		t.Errorf("aggregates: size=%d files=%d runs=%d", v.TotalSize(), v.TotalFiles(), v.NumRuns())
 	}
 	live := v.LiveFileNums()
-	if len(live) != 3 || !live[1] || !live[2] || !live[3] {
+	if len(live) != 4 || !live[1] || !live[2] || !live[3] || !live[4] {
 		t.Errorf("live %v", live)
 	}
 	epr := v.EntriesPerRun()
-	if len(epr) != 2 || epr[0] != 10 || epr[1] != 60 {
+	if len(epr) != 3 || epr[0] != 10 || epr[1] != 10 || epr[2] != 60 {
 		t.Errorf("entries per run %v", epr)
+	}
+	// Levels in order, runs newest first, files in key order.
+	var walk []string
+	for level, f := range v.Files() {
+		walk = append(walk, fmt.Sprintf("L%d#%d", level, f.Num))
+	}
+	if got := fmt.Sprint(walk); got != "[L0#4 L0#1 L1#2 L1#3]" {
+		t.Errorf("Files walk %s", got)
+	}
+	for _, f := range v.Files() {
+		if f.Num != 4 {
+			t.Errorf("walk went on after break, at #%d", f.Num)
+		}
+		break
 	}
 }
 
@@ -314,6 +329,22 @@ func TestStoreRewriteCompacts(t *testing.T) {
 func TestFileNames(t *testing.T) {
 	if FileName(7) != "000007.sst" || WALName(7) != "000007.wal" || VLogName(7) != "000007.vlog" {
 		t.Error("file name formats")
+	}
+	fs := vfs.NewMem()
+	fs.MkdirAll("d")
+	for _, name := range []string{WALName(12), FileName(3), "MANIFEST", WALName(2),
+		FileName(5) + ".corrupt", "x.wal", VLogName(4), FileName(1000000)} {
+		f, err := fs.Create(vfs.Join("d", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+	for ext, want := range map[string]string{TableExt: "[3 1000000]", WALExt: "[2 12]", VLogExt: "[4]"} {
+		nums, err := ListNums(fs, "d", ext)
+		if got := fmt.Sprint(nums); err != nil || got != want {
+			t.Errorf("ListNums(%s) = %s, %v; want %s", ext, got, err, want)
+		}
 	}
 }
 

@@ -4,6 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 
 	"lsmlab/internal/kv"
 	"lsmlab/internal/record"
@@ -255,11 +258,36 @@ func (st *Store) Close() error {
 	return err
 }
 
+// The extensions of a store's numbered files.
+const (
+	TableExt = ".sst"
+	WALExt   = ".wal"
+	VLogExt  = ".vlog"
+)
+
 // FileName formats the on-disk name for a table file.
-func FileName(num uint64) string { return fmt.Sprintf("%06d.sst", num) }
+func FileName(num uint64) string { return fmt.Sprintf("%06d"+TableExt, num) }
 
 // WALName formats the on-disk name for a write-ahead log file.
-func WALName(num uint64) string { return fmt.Sprintf("%06d.wal", num) }
+func WALName(num uint64) string { return fmt.Sprintf("%06d"+WALExt, num) }
 
 // VLogName formats the on-disk name for a WiscKey value-log file.
-func VLogName(num uint64) string { return fmt.Sprintf("%06d.vlog", num) }
+func VLogName(num uint64) string { return fmt.Sprintf("%06d"+VLogExt, num) }
+
+// ListNums returns, in ascending order, the numbers of the files in dir
+// named <number><ext>, as FileName, WALName and VLogName name them.
+func ListNums(fs vfs.FS, dir, ext string) ([]uint64, error) {
+	names, err := fs.List(dir)
+	if err != nil {
+		return nil, err
+	}
+	var nums []uint64
+	for _, name := range names {
+		digits, ok := strings.CutSuffix(name, ext)
+		if num, err := strconv.ParseUint(digits, 10, 64); ok && err == nil {
+			nums = append(nums, num)
+		}
+	}
+	slices.Sort(nums)
+	return nums, nil
+}

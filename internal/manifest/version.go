@@ -13,6 +13,7 @@ package manifest
 import (
 	"bytes"
 	"fmt"
+	"iter"
 
 	"lsmlab/internal/kv"
 )
@@ -205,16 +206,28 @@ func (v *Version) NumRuns() int {
 	return n
 }
 
+// Files yields every file of the version with its level: levels in
+// order, each level's runs newest first, each run's files in key order.
+func (v *Version) Files() iter.Seq2[int, *FileMeta] {
+	return func(yield func(int, *FileMeta) bool) {
+		for li, l := range v.Levels {
+			for _, r := range l.Runs {
+				for _, f := range r.Files {
+					if !yield(li, f) {
+						return
+					}
+				}
+			}
+		}
+	}
+}
+
 // LiveFileNums returns the set of file numbers referenced by the
 // version, used for garbage collection of obsolete files.
 func (v *Version) LiveFileNums() map[uint64]bool {
 	live := make(map[uint64]bool)
-	for _, l := range v.Levels {
-		for _, r := range l.Runs {
-			for _, f := range r.Files {
-				live[f.Num] = true
-			}
-		}
+	for _, f := range v.Files() {
+		live[f.Num] = true
 	}
 	return live
 }

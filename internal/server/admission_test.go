@@ -253,7 +253,7 @@ type stallFS struct {
 }
 
 func (f stallFS) Create(name string) (vfs.File, error) {
-	if vfs.HasSuffix(name, ".sst") {
+	if strings.HasSuffix(name, ".sst") {
 		time.Sleep(f.delay)
 	}
 	return f.FS.Create(name)

@@ -266,6 +266,41 @@ func TestRangeTombstoneOnlyTable(t *testing.T) {
 	it.Close()
 }
 
+// TestRangeTombstoneWidensSeqRange: a table's sequence range covers its
+// range tombstones, so a table holding only tombstones does not record
+// 0..0 and rank as the oldest file.
+func TestRangeTombstoneWidensSeqRange(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		points     []kv.SeqNum
+		tombstones []kv.SeqNum
+		lo, hi     kv.SeqNum
+	}{
+		{"points-then-tombstone", []kv.SeqNum{2, 3, 4}, []kv.SeqNum{5}, 2, 5},
+		{"tombstones-only", nil, []kv.SeqNum{9, 6, 7}, 6, 9},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, _ := vfs.NewMem().Create("t.sst")
+			w := NewWriter(f, WriterOptions{})
+			for i, seq := range tc.points {
+				if err := w.Add(kv.MakeKey([]byte{'a' + byte(i)}, seq, kv.KindSet), []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, seq := range tc.tombstones {
+				w.AddRangeTombstone(kv.RangeTombstone{Start: []byte("m"), End: []byte("p"), Seq: seq})
+			}
+			p, err := w.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.SmallestSeq != tc.lo || p.LargestSeq != tc.hi {
+				t.Errorf("seqs %d..%d, want %d..%d", p.SmallestSeq, p.LargestSeq, tc.lo, tc.hi)
+			}
+		})
+	}
+}
+
 func TestOutOfOrderAddFails(t *testing.T) {
 	fs := vfs.NewMem()
 	f, _ := fs.Create("t.sst")

@@ -35,7 +35,7 @@ type Properties struct {
 	RawKeyBytes       uint64
 	RawValueBytes     uint64
 	NumDataBlocks     uint64
-	SmallestSeq       kv.SeqNum
+	SmallestSeq       kv.SeqNum // ..LargestSeq spans points and range tombstones
 	LargestSeq        kv.SeqNum
 	OldestTombstoneNs int64  // unix nanos of the oldest tombstone; 0 if none
 	Smallest          []byte // smallest user key
@@ -147,12 +147,7 @@ func (w *Writer) Add(ikey, value []byte) error {
 	w.props.NumEntries++
 	w.props.RawKeyBytes += uint64(len(ikey))
 	w.props.RawValueBytes += uint64(len(value))
-	if w.props.NumEntries == 1 || seq < w.props.SmallestSeq {
-		w.props.SmallestSeq = seq
-	}
-	if seq > w.props.LargestSeq {
-		w.props.LargestSeq = seq
-	}
+	w.widenSeq(seq)
 	if w.props.Smallest == nil {
 		w.props.Smallest = append([]byte(nil), ukey...)
 	}
@@ -188,6 +183,16 @@ func bytesEqual(a, b []byte) bool {
 	return true
 }
 
+// widenSeq extends the table's sequence range to seq. Callers count the
+// point entry or range tombstone carrying seq first, so a count of one
+// marks the table's first sequence.
+func (w *Writer) widenSeq(seq kv.SeqNum) {
+	if w.props.NumEntries+w.props.NumRangeDels == 1 || seq < w.props.SmallestSeq {
+		w.props.SmallestSeq = seq
+	}
+	w.props.LargestSeq = max(w.props.LargestSeq, seq)
+}
+
 // AddRangeTombstone records a range tombstone. Tombstones may be added
 // in any order, at any point before Finish.
 func (w *Writer) AddRangeTombstone(t kv.RangeTombstone) {
@@ -200,6 +205,7 @@ func (w *Writer) AddRangeTombstone(t kv.RangeTombstone) {
 		Seq:   t.Seq,
 	})
 	w.props.NumRangeDels++
+	w.widenSeq(t.Seq)
 	if w.opts.NowNs != nil && w.props.OldestTombstoneNs == 0 {
 		w.props.OldestTombstoneNs = w.opts.NowNs()
 	}

@@ -18,7 +18,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -406,6 +405,3 @@ func Join(elem ...string) string { return filepath.Join(elem...) }
 
 // Base returns the last element of the path.
 func Base(p string) string { return filepath.Base(p) }
-
-// HasSuffix reports whether the file name has the given extension.
-func HasSuffix(name, suffix string) bool { return strings.HasSuffix(name, suffix) }

@@ -4,10 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
-	"strconv"
-	"strings"
 
+	"lsmlab/internal/manifest"
 	"lsmlab/internal/record"
 	"lsmlab/internal/vfs"
 )
@@ -54,39 +52,18 @@ func NewCursor(fs vfs.FS, dir string) *Cursor {
 	return &Cursor{fs: fs, dir: dir}
 }
 
-// segNum parses a WAL segment file name ("000007.wal"); ok is false
-// for anything else.
-func segNum(name string) (uint64, bool) {
-	if !strings.HasSuffix(name, ".wal") {
-		return 0, false
-	}
-	n, err := strconv.ParseUint(strings.TrimSuffix(name, ".wal"), 10, 64)
-	return n, err == nil
-}
-
 // segments lists the directory's WAL segment numbers in ascending
 // order.
 func (c *Cursor) segments() ([]uint64, error) {
-	names, err := c.fs.List(c.dir)
-	if err != nil {
-		return nil, err
-	}
-	var nums []uint64
-	for _, name := range names {
-		if n, ok := segNum(name); ok {
-			nums = append(nums, n)
-		}
-	}
-	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
-	return nums, nil
+	return manifest.ListNums(c.fs, c.dir, manifest.WALExt)
 }
 
 // openSeg opens segment num and makes it current.
 func (c *Cursor) openSeg(num uint64) error {
-	name := fmt.Sprintf("%06d.wal", num)
+	name := manifest.WALName(num)
 	f, err := c.fs.Open(vfs.Join(c.dir, name))
 	if err != nil {
-		return fmt.Errorf("%w: %06d.wal: %v", ErrGone, num, err)
+		return fmt.Errorf("%w: %s: %v", ErrGone, name, err)
 	}
 	if c.f != nil {
 		c.f.Close()

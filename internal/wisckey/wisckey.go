@@ -14,10 +14,9 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
+	"lsmlab/internal/manifest"
 	"lsmlab/internal/record"
 	"lsmlab/internal/vfs"
 )
@@ -82,20 +81,13 @@ type Log struct {
 // active segment after the highest.
 func Open(fs vfs.FS, dir string) (*Log, error) {
 	l := &Log{fs: fs, dir: dir, maxFileSize: DefaultFileSize, sizes: make(map[uint64]uint64)}
-	names, err := fs.List(dir)
+	nums, err := manifest.ListNums(fs, dir, manifest.VLogExt)
 	if err != nil {
 		return nil, err
 	}
 	var max uint64
-	for _, name := range names {
-		if !strings.HasSuffix(name, ".vlog") {
-			continue
-		}
-		num, err := strconv.ParseUint(strings.TrimSuffix(name, ".vlog"), 10, 64)
-		if err != nil {
-			continue
-		}
-		f, err := fs.Open(vfs.Join(dir, name))
+	for _, num := range nums {
+		f, err := fs.Open(l.path(num))
 		if err != nil {
 			return nil, err
 		}
@@ -144,7 +136,7 @@ func (l *Log) rotateLocked(num uint64) error {
 	return nil
 }
 
-func (l *Log) path(num uint64) string { return vfs.Join(l.dir, fmt.Sprintf("%06d.vlog", num)) }
+func (l *Log) path(num uint64) string { return vfs.Join(l.dir, manifest.VLogName(num)) }
 
 // Append writes one record and returns its pointer, rotating the
 // segment when full.
